@@ -7,34 +7,8 @@ an online clusterer that tracks emerging families. Purity and silhouette
 metrics score both populations.
 """
 
-from .batch import Cluster, ClustererSpec, KnownClusters, dbscan, kmeans_batch, som_batch
-from .data import (
-    DataFormatError,
-    Dataset,
-    DimensionMismatchError,
-    Route,
-    RouteAssignment,
-    Sample,
-    euclidean_distance,
-    load_dataset,
-    save_dataset,
-    split_by_time,
-)
-from .decision import DecisionParams, accepts, route_sample, sweep_tau
-from .metrics import MetricsReport, mean_silhouette, purity
-from .online import (
-    BSASState,
-    OKMState,
-    SOMState,
-    StreamingClusterer,
-    bsas_init,
-    bsas_update,
-    final_assign,
-    okm_init,
-    okm_update,
-    som_init,
-    som_update,
-)
+from .data import Dataset, Sample, load_dataset, save_dataset, split_by_time
+from .decision import DecisionParams
 from .pipeline import (
     GridResult,
     PipelineConfig,
@@ -43,71 +17,22 @@ from .pipeline import (
     run_pipeline,
     run_reference_baseline,
 )
-from .report import emit_plot_data
-from .preprocess import (
-    PCAModel,
-    ScalerModel,
-    apply_scaler,
-    fit_pca,
-    fit_scaler,
-    select_feature_count,
-    transform_pca,
-)
-from .wknn import ReferenceSet, WKNNParams, add_reference, classify
+from .wknn import WKNNParams
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BSASState",
-    "Cluster",
-    "ClustererSpec",
-    "DataFormatError",
     "Dataset",
     "DecisionParams",
-    "DimensionMismatchError",
     "GridResult",
-    "KnownClusters",
-    "MetricsReport",
-    "OKMState",
-    "PCAModel",
     "PipelineConfig",
-    "ReferenceSet",
-    "Route",
-    "RouteAssignment",
     "RunReport",
-    "SOMState",
     "Sample",
-    "ScalerModel",
-    "StreamingClusterer",
     "WKNNParams",
-    "accepts",
-    "add_reference",
-    "apply_scaler",
-    "bsas_init",
-    "bsas_update",
-    "classify",
-    "dbscan",
-    "emit_plot_data",
-    "euclidean_distance",
-    "final_assign",
-    "fit_pca",
-    "fit_scaler",
-    "kmeans_batch",
     "load_dataset",
-    "mean_silhouette",
-    "okm_init",
-    "okm_update",
-    "purity",
-    "route_sample",
     "run_grid",
     "run_pipeline",
     "run_reference_baseline",
     "save_dataset",
-    "select_feature_count",
-    "som_batch",
-    "som_init",
-    "som_update",
     "split_by_time",
-    "sweep_tau",
-    "transform_pca",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .batch import ClustererSpec
@@ -21,6 +20,7 @@ from .pipeline import (
     ONLINE_ALGORITHMS,
     PipelineConfig,
     build_known_model,
+    fit_projection,
     load_inputs,
     repeat_seed,
     run_grid,
@@ -38,7 +38,6 @@ from .report import (
     write_json,
     write_run_outputs,
 )
-from .pipeline import GridSummaryRow, aggregate
 
 DEFAULT_OUTPUT_DIR = "famstream_out"
 DEFAULT_TAUS = "-5,-2,0,2,5"
@@ -217,62 +216,42 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_grid(args) -> int:
-    config = build_config(args)
+def _grid_axes(args) -> tuple[list[int], list[str]]:
     counts = parse_int_list(args.cluster_counts)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     for algo in algorithms:
         if algo not in ONLINE_ALGORITHMS:
             raise UsageError(f"unknown online algorithm {algo!r}")
-    data = _load(config)
-    grid = run_grid(config, counts, algorithms, repeats=config.repeats, data=data)
-    outdir = _outdir(config)
-    write_grid_outputs(outdir, grid, emit_timings=args.emit_timings)
-    for row in grid.summary:
+    return counts, algorithms
+
+
+def _print_summary(summary, prefix: str = "") -> None:
+    for row in summary:
         print(
-            f"{row.algorithm} k={row.clusters}: purity {_fmt(row.purity_mean)} "
+            f"{prefix}{row.algorithm} k={row.clusters}: purity {_fmt(row.purity_mean)} "
             f"silhouette {_fmt(row.silhouette_mean)}"
         )
+
+
+def cmd_grid(args) -> int:
+    config = build_config(args)
+    counts, algorithms = _grid_axes(args)
+    grid = run_grid(config, counts, algorithms, data=_load(config))
+    outdir = _outdir(config)
+    write_grid_outputs(outdir, grid, emit_timings=args.emit_timings)
+    _print_summary(grid.summary)
     print(f"outputs in {outdir}")
     return 0
 
 
 def cmd_baseline(args) -> int:
     config = build_config(args)
-    counts = parse_int_list(args.cluster_counts)
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    for algo in algorithms:
-        if algo not in ONLINE_ALGORITHMS:
-            raise UsageError(f"unknown online algorithm {algo!r}")
-    data = _load(config)
-    rows = []
-    summary: list[GridSummaryRow] = []
-    for algo in algorithms:
-        for count in counts:
-            cfg = replace(config, online_algorithm=algo, online_clusters=count)
-            report = run_reference_baseline(cfg, data=data)
-            for r in report.repeats:
-                rows.append((algo, count, r.repeat, r.seed, r.purity_new, r.silhouette_new))
-            pur = aggregate([r.purity_new for r in report.repeats])
-            sil = aggregate([r.silhouette_new for r in report.repeats])
-            summary.append(
-                GridSummaryRow(
-                    algorithm=algo,
-                    clusters=count,
-                    purity_mean=None if pur is None else pur["mean"],
-                    purity_std=None if pur is None else pur["std"],
-                    silhouette_mean=None if sil is None else sil["mean"],
-                    silhouette_std=None if sil is None else sil["std"],
-                )
-            )
+    counts, algorithms = _grid_axes(args)
+    baseline = run_reference_baseline(config, counts, algorithms, data=_load(config))
     outdir = _outdir(config)
-    write_baseline_results(outdir / "baseline_results.csv", rows)
-    write_baseline_metrics(outdir / "baseline_metrics.csv", summary)
-    for row in summary:
-        print(
-            f"baseline {row.algorithm} k={row.clusters}: purity {_fmt(row.purity_mean)} "
-            f"silhouette {_fmt(row.silhouette_mean)}"
-        )
+    write_baseline_results(outdir / "baseline_results.csv", baseline.cells)
+    write_baseline_metrics(outdir / "baseline_metrics.csv", baseline.summary)
+    _print_summary(baseline.summary, prefix="baseline ")
     print(f"outputs in {outdir}")
     return 0
 
@@ -281,9 +260,9 @@ def cmd_sweep_tau(args) -> int:
     config = build_config(args)
     taus = parse_float_list(args.taus)
     corpus, stream = _load(config)
-    seed = repeat_seed(config.seed, 0)
-    scaler, pca, known, ref, _ = build_known_model(corpus, config, seed)
-    z_stream = transform_stream(scaler, pca, stream)
+    proj = fit_projection(corpus, stream, config.n_features)
+    known, ref = build_known_model(corpus, proj.corpus_z, config, repeat_seed(config.seed, 0))
+    z_stream = transform_stream(proj.scaler, proj.pca, stream)
     sweep = sweep_tau(known, ref, config.wknn, z_stream, taus, dp=config.decision)
     outdir = _outdir(config)
     write_tau_sweep(outdir / "tau_sweep.csv", sweep)

@@ -1,18 +1,16 @@
 """End-to-end orchestration: preprocess, cluster the corpus, route the
 stream, online-cluster the new-family route, and score the result.
 
-One repeat runs these sequential stages:
-
-1. standard score and PCA, both fit on the corpus only;
-2. batch SOM over the projected corpus, producing the known clusters;
-3. a reference set labeled with the known-cluster ids;
-4. the stream, in chronological order: classify with WKNN, then apply the
-   expansion rule; accepted samples join their known cluster, the rest are
-   queued for the online clusterer in arrival order;
-5. the configured online clusterer over the new-route samples, then a final
-   nearest-centroid assignment of exactly those samples;
-6. purity/silhouette for the new-route and known populations, where ground
-   truth or cluster counts allow.
+run_pipeline, run_grid and run_reference_baseline share one core:
+fit_projection fits standard score and PCA on the corpus once per call,
+projects the corpus and rejects non-finite input; _routed_repeats, the one
+repeat loop, clusters the projected corpus with a batch SOM and routes each
+stream sample in chronological order (WKNN proposes a known cluster, the
+expansion rule accepts it or queues the sample for the online clusterer);
+_cluster_cell online-clusters one population and scores purity/silhouette;
+summarize aggregates grid and baseline cells. run_pipeline is a grid with
+one cell plus known-population metrics and the first repeat's artifacts;
+run_reference_baseline feeds the unrouted corpus+stream to the same cells.
 
 Routing never reads the online state, so clustering the new route after the
 routing pass is byte-identical to interleaving them sample by sample.
@@ -27,6 +25,7 @@ are byte-reproducible for a fixed master seed.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -133,10 +132,7 @@ def load_inputs(config: PipelineConfig) -> tuple[Dataset, Dataset]:
 class RoutingPass:
     """Everything the routing stage produced for one repeat."""
 
-    scaler: ScalerModel
-    pca: PCAModel
     known: KnownClusters
-    ref: ReferenceSet
     assignments: list[RouteAssignment]
     new_ids: list[str]
     new_points: np.ndarray
@@ -148,16 +144,43 @@ class RoutingPass:
         return len(self.new_ids) / self.stream_size if self.stream_size else 0.0
 
 
-def build_known_model(
-    corpus: Dataset, config: PipelineConfig, seed: int
-) -> tuple[ScalerModel, PCAModel, KnownClusters, ReferenceSet, dict[str, float]]:
-    """Fit preprocessing on the corpus and cluster it into known families."""
+@dataclass
+class Projection:
+    """Scaler and PCA fit on the corpus, and the corpus projected once."""
+
+    scaler: ScalerModel
+    pca: PCAModel
+    corpus_z: np.ndarray
+    seconds: float
+
+
+def _reject_nonfinite(matrix: np.ndarray, data: Dataset, role: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{role} sample {data.samples[bad[0]].id!r} has a non-finite feature")
+
+
+def fit_projection(corpus: Dataset, stream: Dataset, n_features: int) -> Projection:
+    """Fit scaler+PCA on the corpus and project it.
+
+    Raises ValueError naming the first corpus or stream sample with a
+    non-finite feature.
+    """
     t0 = time.perf_counter()
-    scaler = fit_scaler(corpus)
-    corpus_scaled = apply_scaler(scaler, corpus.matrix())
-    pca = fit_pca(corpus_scaled, config.n_features)
+    corpus_x = corpus.matrix()
+    _reject_nonfinite(corpus_x, corpus, "corpus")
+    _reject_nonfinite(stream.matrix(), stream, "stream")
+    scaler = fit_scaler(corpus_x)
+    corpus_scaled = apply_scaler(scaler, corpus_x)
+    pca = fit_pca(corpus_scaled, n_features)
     corpus_z = transform_pca(pca, corpus_scaled)
-    t1 = time.perf_counter()
+    return Projection(scaler, pca, corpus_z, time.perf_counter() - t0)
+
+
+def build_known_model(
+    corpus: Dataset, corpus_z: np.ndarray, config: PipelineConfig, seed: int
+) -> tuple[KnownClusters, ReferenceSet]:
+    """Cluster the projected corpus into known families; label a reference set."""
     known = som_batch(
         corpus_z,
         k_units=config.corpus_clusters,
@@ -170,9 +193,7 @@ def build_known_model(
         points=corpus_z,
         labels=[cluster_of[sid] for sid in corpus.ids()],
     )
-    t2 = time.perf_counter()
-    timings = {"preprocess": t1 - t0, "corpus_clustering": t2 - t1}
-    return scaler, pca, known, ref, timings
+    return known, ref
 
 
 def transform_stream(
@@ -188,71 +209,36 @@ def transform_stream(
 
 
 def run_routing(
-    corpus: Dataset, stream: Dataset, config: PipelineConfig, seed: int
+    corpus: Dataset, stream: Dataset, proj: Projection, config: PipelineConfig, seed: int
 ) -> RoutingPass:
-    """Preprocess, cluster the corpus, and route every stream sample."""
-    scaler, pca, known, ref, stage_timings = build_known_model(corpus, config, seed)
-    t2 = time.perf_counter()
+    """Cluster the projected corpus and route every stream sample."""
+    t0 = time.perf_counter()
+    known, ref = build_known_model(corpus, proj.corpus_z, config, seed)
+    t1 = time.perf_counter()
 
     assignments: list[RouteAssignment] = []
     new_ids: list[str] = []
     new_rows: list[np.ndarray] = []
     for sample in stream.samples:
-        z = transform_pca(pca, apply_scaler(scaler, sample.features))
+        z = transform_pca(proj.pca, apply_scaler(proj.scaler, sample.features))
         assignment = route_sample(known, ref, config.wknn, config.decision, z, sample.id)
         assignments.append(assignment)
         if assignment.route is Route.NEW:
             new_ids.append(sample.id)
             new_rows.append(z)
-    t3 = time.perf_counter()
+    t2 = time.perf_counter()
 
     new_points = (
         np.stack(new_rows) if new_rows else np.empty((0, config.n_features), dtype=np.float64)
     )
     return RoutingPass(
-        scaler=scaler,
-        pca=pca,
         known=known,
-        ref=ref,
         assignments=assignments,
         new_ids=new_ids,
         new_points=new_points,
         stream_size=len(stream.samples),
-        timings={**stage_timings, "wknn_total": t3 - t2},
+        timings={"corpus_clustering": t1 - t0, "wknn_total": t2 - t1},
     )
-
-
-def run_online_stage(
-    points: np.ndarray,
-    algorithm: str,
-    n_clusters: int,
-    seed: int,
-    bsas_theta: float | None = None,
-):
-    """Stream the given points through one online clusterer.
-
-    Returns (state, per-push emitted indices, final assignment array,
-    seconds). state is None when no points arrived (except SOM, which always
-    has its initial map).
-    """
-    t0 = time.perf_counter()
-    clusterer = StreamingClusterer(
-        algorithm,
-        n_clusters,
-        dim=points.shape[1],
-        seed=seed,
-        expected_stream_length=len(points),
-        bsas_theta=bsas_theta,
-    )
-    for row in points:
-        clusterer.push(row)
-    state = clusterer.finalize()
-    assigned = (
-        final_assign(state, points)
-        if state is not None and len(points)
-        else np.zeros(0, dtype=np.intp)
-    )
-    return state, list(clusterer.emitted), assigned, time.perf_counter() - t0
 
 
 @dataclass
@@ -273,8 +259,8 @@ class RepeatResult:
     skipped: list[str]
     timings: dict[str, float]
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "repeat": self.repeat,
             "seed": self.seed,
             "stream_size": self.stream_size,
@@ -288,9 +274,6 @@ class RepeatResult:
             "online_clusters_used": self.online_clusters_used,
             "skipped": list(self.skipped),
         }
-        if include_timings:
-            d["timings"] = dict(self.timings)
-        return d
 
 
 METRIC_FIELDS = (
@@ -336,13 +319,6 @@ def aggregate(values: list[float | None]) -> dict[str, float] | None:
     if not present:
         return None
     return {"mean": float(np.mean(present)), "std": float(np.std(present))}
-
-
-def _metric_aggregates(repeats: list[RepeatResult]) -> dict:
-    return {
-        name: aggregate([getattr(r, name) for r in repeats])
-        for name in METRIC_FIELDS
-    }
 
 
 def _family_labels(*datasets: Dataset) -> dict[str, str]:
@@ -393,88 +369,147 @@ def _known_population(known: KnownClusters) -> tuple[list[str], np.ndarray, list
     return ids, np.vstack(blocks), cluster_ids
 
 
-def _one_repeat(
-    corpus: Dataset,
-    stream: Dataset,
+@dataclass
+class CellRun:
+    """One online clusterer over one population, scored."""
+
+    state: object
+    emitted: list[int]
+    assigned: np.ndarray
+    purity: float | None
+    silhouette: float | None
+    skipped: list[str]
+    seconds: float
+
+
+def _cluster_cell(
+    ids: list[str],
+    points: np.ndarray,
+    algorithm: str,
+    n_clusters: int,
+    base: int,
     config: PipelineConfig,
-    repeat: int,
     labels: dict[str, str],
-) -> tuple[RepeatResult, RoutingPass, object, list[int]]:
-    base = repeat_seed(config.seed, repeat)
+) -> CellRun:
+    """Stream a population through one online clusterer seeded base + 1,
+    assign every point to its final centroid, and score the result.
+
+    state is None when no points arrived (except SOM, which always has its
+    initial map); seconds covers the online stage only.
+    """
     t0 = time.perf_counter()
-    routing = run_routing(corpus, stream, config, seed=base)
-    state, emitted, assigned, online_seconds = run_online_stage(
-        routing.new_points,
-        config.online_algorithm,
-        config.online_clusters,
+    clusterer = StreamingClusterer(
+        algorithm,
+        n_clusters,
+        dim=points.shape[1],
         seed=base + 1,
+        expected_stream_length=len(points),
         bsas_theta=config.bsas_theta,
     )
+    for row in points:
+        clusterer.push(row)
+    state = clusterer.finalize()
+    assigned = (
+        final_assign(state, points)
+        if state is not None and len(points)
+        else np.zeros(0, dtype=np.intp)
+    )
+    seconds = time.perf_counter() - t0
     skipped: list[str] = []
-    pur_new, sil_new = _score_population(
-        routing.new_ids,
-        routing.new_points,
-        [int(c) for c in assigned],
-        labels,
-        config.compute_silhouette,
-        "new",
+    pur, sil = _score_population(
+        ids, points, [int(c) for c in assigned], labels, config.compute_silhouette, "new",
         skipped,
     )
-    if config.compute_known_metrics:
-        k_ids, k_points, k_clusters = _known_population(routing.known)
-        pur_known, sil_known = _score_population(
-            k_ids, k_points, k_clusters, labels, config.compute_silhouette, "known", skipped
-        )
-    else:
-        pur_known = sil_known = None
-        skipped.append("known: metrics disabled")
-    total = time.perf_counter() - t0
-    timings = dict(routing.timings)
-    timings["online_total"] = online_seconds
-    timings["total"] = total
-    result = RepeatResult(
-        repeat=repeat,
-        seed=base,
-        stream_size=routing.stream_size,
-        known_count=routing.stream_size - len(routing.new_ids),
-        new_count=len(routing.new_ids),
-        new_route_fraction=routing.new_fraction,
-        purity_new=pur_new,
-        silhouette_new=sil_new,
-        purity_known=pur_known,
-        silhouette_known=sil_known,
-        online_clusters_used=len(set(int(c) for c in assigned)) if len(assigned) else 0,
-        skipped=skipped,
-        timings=timings,
-    )
-    return result, routing, state, emitted
+    return CellRun(state, list(clusterer.emitted), assigned, pur, sil, skipped, seconds)
 
 
-def run_pipeline(config: PipelineConfig, data: tuple[Dataset, Dataset] | None = None) -> RunReport:
-    """Run the full model for config.repeats repeats and aggregate."""
+def _prepare(
+    config: PipelineConfig, data: tuple[Dataset, Dataset] | None
+) -> tuple[Dataset, Dataset, dict[str, str], Projection]:
+    """Validate and load the inputs, then fit the projection once per call."""
     config.validate(require_paths=data is None)
     corpus, stream = data if data is not None else load_inputs(config)
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
     labels = _family_labels(corpus, stream)
+    return corpus, stream, labels, fit_projection(corpus, stream, config.n_features)
+
+
+def _routed_repeats(
+    corpus: Dataset, stream: Dataset, proj: Projection, config: PipelineConfig
+) -> Iterator[tuple[int, int, RoutingPass, float]]:
+    """Route the stream once per repeat; yields (repeat, base seed, routing,
+    perf_counter at the repeat's start)."""
+    for r in range(config.repeats):
+        base = repeat_seed(config.seed, r)
+        started = time.perf_counter()
+        yield r, base, run_routing(corpus, stream, proj, config, seed=base), started
+
+
+def run_pipeline(config: PipelineConfig, data: tuple[Dataset, Dataset] | None = None) -> RunReport:
+    """Run the full model for config.repeats repeats and aggregate.
+
+    Each repeat is the grid cell (config.online_algorithm,
+    config.online_clusters), plus known-population metrics; the first
+    repeat also keeps its assignments and models. Unlike a grid cell, a
+    failing online stage raises. The one-time preprocessing is timed into
+    repeat 0's `preprocess` and `total`.
+    """
+    corpus, stream, labels, proj = _prepare(config, data)
     repeats: list[RepeatResult] = []
     first_assignments: list[RouteAssignment] = []
     first_models: dict = {}
-    for r in range(config.repeats):
-        result, routing, state, emitted = _one_repeat(corpus, stream, config, r, labels)
-        repeats.append(result)
+    for r, base, routing, started in _routed_repeats(corpus, stream, proj, config):
+        cell = _cluster_cell(
+            routing.new_ids, routing.new_points, config.online_algorithm,
+            config.online_clusters, base, config, labels,
+        )
+        skipped = cell.skipped
+        if config.compute_known_metrics:
+            k_ids, k_points, k_clusters = _known_population(routing.known)
+            pur_known, sil_known = _score_population(
+                k_ids, k_points, k_clusters, labels, config.compute_silhouette, "known", skipped
+            )
+        else:
+            pur_known = sil_known = None
+            skipped.append("known: metrics disabled")
+        preprocess = proj.seconds if r == 0 else 0.0
+        repeats.append(
+            RepeatResult(
+                repeat=r,
+                seed=base,
+                stream_size=routing.stream_size,
+                known_count=routing.stream_size - len(routing.new_ids),
+                new_count=len(routing.new_ids),
+                new_route_fraction=routing.new_fraction,
+                purity_new=cell.purity,
+                silhouette_new=cell.silhouette,
+                purity_known=pur_known,
+                silhouette_known=sil_known,
+                online_clusters_used=len(set(int(c) for c in cell.assigned)),
+                skipped=skipped,
+                timings={
+                    "preprocess": preprocess,
+                    **routing.timings,
+                    "online_total": cell.seconds,
+                    "total": preprocess + time.perf_counter() - started,
+                },
+            )
+        )
         if r == 0:
-            first_assignments = _emission_assignments(routing, emitted)
+            first_assignments = _emission_assignments(routing, cell.emitted)
             first_models = {
-                "scaler": routing.scaler.to_dict(),
-                "pca": routing.pca.to_dict(),
+                "scaler": proj.scaler.to_dict(),
+                "pca": proj.pca.to_dict(),
                 "known_clusters": routing.known.to_dict(),
-                "online_state": state.to_dict() if state is not None else None,
+                "online_state": cell.state.to_dict() if cell.state is not None else None,
             }
     return RunReport(
         config=config.to_dict(),
         repeats=repeats,
-        aggregates=_metric_aggregates(repeats),
+        aggregates={
+            name: aggregate([getattr(r, name) for r in repeats]) for name in METRIC_FIELDS
+        },
         first_assignments=first_assignments,
         first_models=first_models,
     )
@@ -522,21 +557,7 @@ class GridResult:
     summary: list[GridSummaryRow]
 
 
-def run_grid(
-    config: PipelineConfig,
-    cluster_counts,
-    algorithms,
-    repeats: int | None = None,
-    data: tuple[Dataset, Dataset] | None = None,
-) -> GridResult:
-    """Sweep (algorithm, cluster count) over repeated runs.
-
-    Routing does not depend on the online algorithm, so each repeat routes
-    once and every grid cell consumes the same new-route population; the
-    grid isolates online-clusterer variance. Cell failures are recorded as
-    empty metrics and do not stop the grid.
-    """
-    config.validate(require_paths=data is None)
+def _grid_axes(cluster_counts, algorithms) -> tuple[list[int], list[str]]:
     counts = [int(c) for c in cluster_counts]
     algos = list(algorithms)
     if not counts or not algos:
@@ -544,50 +565,32 @@ def run_grid(
     for algo in algos:
         if algo not in ONLINE_ALGORITHMS:
             raise ValueError(f"unknown online algorithm {algo!r}")
-    n_repeats = config.repeats if repeats is None else int(repeats)
-    corpus, stream = data if data is not None else load_inputs(config)
-    labels = _family_labels(corpus, stream)
+    return counts, algos
 
-    cells: list[GridCell] = []
-    for r in range(n_repeats):
-        base = repeat_seed(config.seed, r)
-        routing = run_routing(corpus, stream, config, seed=base)
-        for algo in algos:
-            for count in counts:
-                try:
-                    _, _, assigned, seconds = run_online_stage(
-                        routing.new_points,
-                        algo,
-                        count,
-                        seed=base + 1,
-                        bsas_theta=config.bsas_theta,
-                    )
-                    skipped: list[str] = []
-                    pur, sil = _score_population(
-                        routing.new_ids,
-                        routing.new_points,
-                        [int(c) for c in assigned],
-                        labels,
-                        config.compute_silhouette,
-                        "new",
-                        skipped,
-                    )
-                except ValueError:
-                    pur = sil = None
-                    seconds = 0.0
-                cells.append(
-                    GridCell(
-                        algorithm=algo,
-                        clusters=count,
-                        repeat=r,
-                        seed=base,
-                        n_new=len(routing.new_ids),
-                        purity=pur,
-                        silhouette=sil,
-                        online_seconds=seconds,
-                    )
-                )
 
+def _grid_cell(
+    ids: list[str],
+    points: np.ndarray,
+    algorithm: str,
+    n_clusters: int,
+    repeat: int,
+    base: int,
+    config: PipelineConfig,
+    labels: dict[str, str],
+) -> GridCell:
+    """One grid or baseline cell. A ValueError from the online stage or the
+    metrics leaves the cell with empty metrics and zero seconds."""
+    try:
+        cell = _cluster_cell(ids, points, algorithm, n_clusters, base, config, labels)
+        pur, sil, seconds = cell.purity, cell.silhouette, cell.seconds
+    except ValueError:
+        pur, sil, seconds = None, None, 0.0
+    return GridCell(algorithm, n_clusters, repeat, base, len(ids), pur, sil, seconds)
+
+
+def summarize(cells: list[GridCell], counts: list[int], algos: list[str]) -> list[GridSummaryRow]:
+    """Mean/std of purity and silhouette over the repeats of each
+    (algorithm, cluster count), in algorithm-major order."""
     summary: list[GridSummaryRow] = []
     for algo in algos:
         for count in counts:
@@ -604,85 +607,64 @@ def run_grid(
                     silhouette_std=None if sil is None else sil["std"],
                 )
             )
-    return GridResult(cells=cells, summary=summary)
+    return summary
+
+
+def run_grid(
+    config: PipelineConfig,
+    cluster_counts,
+    algorithms,
+    data: tuple[Dataset, Dataset] | None = None,
+) -> GridResult:
+    """Sweep (algorithm, cluster count) over config.repeats repeats.
+
+    Routing does not depend on the online algorithm, so each repeat routes
+    once and every grid cell consumes the same new-route population; the
+    grid isolates online-clusterer variance. Cells are ordered by (repeat,
+    algorithm, count). Cell failures are recorded as empty metrics and do
+    not stop the grid.
+    """
+    counts, algos = _grid_axes(cluster_counts, algorithms)
+    corpus, stream, labels, proj = _prepare(config, data)
+    cells = [
+        _grid_cell(routing.new_ids, routing.new_points, algo, count, r, base, config, labels)
+        for r, base, routing, _ in _routed_repeats(corpus, stream, proj, config)
+        for algo in algos
+        for count in counts
+    ]
+    return GridResult(cells=cells, summary=summarize(cells, counts, algos))
 
 
 def run_reference_baseline(
-    config: PipelineConfig, data: tuple[Dataset, Dataset] | None = None
-) -> RunReport:
+    config: PipelineConfig,
+    cluster_counts,
+    algorithms,
+    data: tuple[Dataset, Dataset] | None = None,
+) -> GridResult:
     """Direct online clustering of corpus-then-stream, for comparison.
 
     Preprocessing stays identical to the proposed model (fit on the corpus);
     the WKNN classifier and the routing rule are bypassed, so the corpus
-    points and then the chronological stream feed the online clusterer
-    directly. Metrics cover the whole population. Routing-stage timings are
-    reported as zero.
+    points and then the chronological stream feed every (algorithm, cluster
+    count) cell directly, for config.repeats repeats each. Metrics cover the
+    whole population. Cells are ordered by (algorithm, count, repeat) and
+    follow the grid's failure policy: a cell whose online stage or metrics
+    raise ValueError gets empty metrics, and the sweep goes on.
     """
-    config.validate(require_paths=data is None)
-    corpus, stream = data if data is not None else load_inputs(config)
-    if len(corpus) == 0:
-        raise ValueError("corpus is empty")
-    labels = _family_labels(corpus, stream)
-    repeats: list[RepeatResult] = []
-    for r in range(config.repeats):
-        base = repeat_seed(config.seed, r)
-        t0 = time.perf_counter()
-        scaler = fit_scaler(corpus)
-        pca = fit_pca(apply_scaler(scaler, corpus.matrix()), config.n_features)
-        all_ids = corpus.ids() + [s.id for s in stream.samples]
-        points = transform_pca(
-            pca,
-            apply_scaler(
-                scaler,
-                np.vstack([corpus.matrix(), stream.matrix()])
-                if len(stream)
-                else corpus.matrix(),
-            ),
-        )
-        t1 = time.perf_counter()
-        state, _, assigned, online_seconds = run_online_stage(
-            points,
-            config.online_algorithm,
-            config.online_clusters,
-            seed=base + 1,
-            bsas_theta=config.bsas_theta,
-        )
-        skipped: list[str] = []
-        pur, sil = _score_population(
-            all_ids,
-            points,
-            [int(c) for c in assigned],
-            labels,
-            config.compute_silhouette,
-            "baseline",
-            skipped,
-        )
-        total = time.perf_counter() - t0
-        repeats.append(
-            RepeatResult(
-                repeat=r,
-                seed=base,
-                stream_size=len(stream),
-                known_count=0,
-                new_count=len(all_ids),
-                new_route_fraction=1.0,
-                purity_new=pur,
-                silhouette_new=sil,
-                purity_known=None,
-                silhouette_known=None,
-                online_clusters_used=len(set(int(c) for c in assigned)) if len(assigned) else 0,
-                skipped=skipped + ["known: not applicable to the baseline"],
-                timings={
-                    "preprocess": t1 - t0,
-                    "corpus_clustering": 0.0,
-                    "wknn_total": 0.0,
-                    "online_total": online_seconds,
-                    "total": total,
-                },
-            )
-        )
-    return RunReport(
-        config=config.to_dict(),
-        repeats=repeats,
-        aggregates=_metric_aggregates(repeats),
-    )
+    counts, algos = _grid_axes(cluster_counts, algorithms)
+    corpus, stream, labels, proj = _prepare(config, data)
+    ids = corpus.ids() + stream.ids()
+    # Routing projects each stream sample on its own (run_routing,
+    # transform_stream), the baseline the whole stream matrix at once. The two
+    # differ in the last bit, so neither may replace the other without
+    # changing results. Stacking corpus_z on the matrix projection gives the
+    # same bytes as projecting vstack(corpus, stream) in one product.
+    stream_z = transform_pca(proj.pca, apply_scaler(proj.scaler, stream.matrix()))
+    points = np.vstack([proj.corpus_z, stream_z])
+    cells = [
+        _grid_cell(ids, points, algo, count, r, repeat_seed(config.seed, r), config, labels)
+        for algo in algos
+        for count in counts
+        for r in range(config.repeats)
+    ]
+    return GridResult(cells=cells, summary=summarize(cells, counts, algos))

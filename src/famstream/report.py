@@ -83,7 +83,8 @@ def write_grid_results(path: str | Path, cells: list[GridCell]) -> None:
     )
 
 
-def write_baseline_results(path: str | Path, rows) -> None:
+def write_baseline_results(path: str | Path, cells: list[GridCell]) -> None:
+    rows = [(c.algorithm, c.clusters, c.repeat, c.seed, c.purity, c.silhouette) for c in cells]
     _write_csv(Path(path), BASELINE_RESULTS_HEADER, rows)
 
 
@@ -158,40 +159,3 @@ def write_grid_outputs(outdir: str | Path, grid: GridResult, emit_timings: bool 
     if emit_timings:
         write_online_timings(outdir / "online_timings.csv", grid.cells)
 
-
-def emit_plot_data(
-    outdir: str | Path,
-    feature_table: list[FeatureSelectionCell] | None = None,
-    tau_sweep: list[TauSweepPoint] | None = None,
-    grid: GridResult | None = None,
-    baseline_summary: list[GridSummaryRow] | None = None,
-    run_report: RunReport | None = None,
-) -> list[Path]:
-    """Write one plot-data CSV per supplied result; returns the paths written.
-
-    Covers the whole figure set: feature-count/silhouette table, tau sweep,
-    online metric curves with their timing samples, baseline curves, and
-    per-repeat total timings.
-    """
-    outdir = Path(outdir)
-    written: list[Path] = []
-
-    def emit(name: str, writer, payload) -> None:
-        path = outdir / name
-        writer(path, payload)
-        written.append(path)
-
-    if feature_table is not None:
-        emit("feature_count_silhouette.csv", write_feature_selection_table, feature_table)
-    if tau_sweep is not None:
-        emit("tau_sweep.csv", write_tau_sweep, tau_sweep)
-    if grid is not None:
-        emit("online_metrics.csv", write_online_metrics, grid.summary)
-        emit("online_timings.csv", write_online_timings, grid.cells)
-    if baseline_summary is not None:
-        emit("baseline_metrics.csv", write_baseline_metrics, baseline_summary)
-    if run_report is not None:
-        emit("total_timings.csv", write_total_timings, run_report)
-    if not written:
-        raise ValueError("no results supplied to emit_plot_data")
-    return written

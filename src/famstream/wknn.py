@@ -105,10 +105,6 @@ class ReferenceSet:
         return cls(points=d["points"], labels=d["labels"], dim=int(d["dim"]))
 
 
-def add_reference(ref: ReferenceSet, x, label: int) -> ReferenceSet:
-    return ref.add(x, label)
-
-
 def classify(
     ref: ReferenceSet, params: WKNNParams, x
 ) -> tuple[int, list[tuple[np.ndarray, float]]]:

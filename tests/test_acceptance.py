@@ -192,8 +192,7 @@ def test_criterion_5_synthetic_end_to_end(benchmark_data):
     config = PipelineConfig(n_features=40, corpus_clusters=4, seed=77, repeats=1)
     assert config.wknn.k == 3 and config.wknn.weighting == "distance"
     assert config.decision.tau == -2.0
-    grid = run_grid(config, range(4, 11), ["okm", "som", "bsas"], repeats=1,
-                    data=(corpus, stream))
+    grid = run_grid(config, range(4, 11), ["okm", "som", "bsas"], data=(corpus, stream))
     floors = {"okm": 0.90, "som": 0.85, "bsas": 0.85}
     worst = {}
     for cell in grid.cells:
@@ -219,20 +218,17 @@ def test_criterion_6_baseline_comparison(benchmark_data):
         n_features=40, corpus_clusters=4, online_clusters=7, seed=600,
         repeats=repeats, compute_silhouette=False, compute_known_metrics=False,
     )
-    grid = run_grid(config, [7], ["okm", "som", "bsas"], repeats=repeats,
-                    data=(corpus, stream))
+    grid = run_grid(config, [7], ["okm", "som", "bsas"], data=(corpus, stream))
     proposed = {
         algo: [c.purity for c in sorted(
             (c for c in grid.cells if c.algorithm == algo), key=lambda c: c.repeat)]
         for algo in ("okm", "som", "bsas")
     }
+    base_grid = run_reference_baseline(config, [7], ["okm", "som", "bsas"],
+                                       data=(corpus, stream))
     summary = []
     for algo in ("okm", "som", "bsas"):
-        from dataclasses import replace
-        base_report = run_reference_baseline(
-            replace(config, online_algorithm=algo), data=(corpus, stream)
-        )
-        baseline = [r.purity_new for r in base_report.repeats]
+        baseline = [c.purity for c in base_grid.cells if c.algorithm == algo]
         wins = sum(p > b for p, b in zip(proposed[algo], baseline))
         assert wins >= 18, f"{algo}: proposed beat baseline in only {wins}/{repeats}"
         summary.append(f"{algo} {wins}/{repeats}")

@@ -5,19 +5,21 @@ import numpy as np
 import pytest
 
 from famstream.data import Dataset, Route, Sample
+from famstream import pipeline
+from famstream.cli import main
+from famstream.data import save_dataset
 from famstream.pipeline import (
     PipelineConfig,
+    fit_projection,
     repeat_seed,
     run_grid,
     run_pipeline,
     run_reference_baseline,
     run_routing,
-    build_known_model,
     transform_stream,
 )
 from famstream.preprocess import apply_scaler, transform_pca
 from famstream import report as rpt
-
 
 
 def small_config(**kw):
@@ -49,7 +51,8 @@ def test_repeat_seed_scheme():
 def test_routing_decomposition(small_data):
     corpus, stream = small_data
     cfg = small_config()
-    routing = run_routing(corpus, stream, cfg, seed=1)
+    proj = fit_projection(corpus, stream, cfg.n_features)
+    routing = run_routing(corpus, stream, proj, cfg, seed=1)
     routes = {a.sample_id: a.route for a in routing.assignments}
     assert len(routes) == len(stream)
     n_new = sum(1 for r in routes.values() if r is Route.NEW)
@@ -66,10 +69,10 @@ def test_routing_decomposition(small_data):
 def test_transform_stream_matches_manual(small_data):
     corpus, stream = small_data
     cfg = small_config()
-    scaler, pca, known, ref, _ = build_known_model(corpus, cfg, seed=2)
-    z = transform_stream(scaler, pca, stream)
+    proj = fit_projection(corpus, stream, cfg.n_features)
+    z = transform_stream(proj.scaler, proj.pca, stream)
     assert z.dim == cfg.n_features
-    want = transform_pca(pca, apply_scaler(scaler, stream.samples[0].features))
+    want = transform_pca(proj.pca, apply_scaler(proj.scaler, stream.samples[0].features))
     np.testing.assert_array_equal(z.samples[0].features, want)
     assert z.samples[0].id == stream.samples[0].id
 
@@ -141,7 +144,7 @@ def test_run_pipeline_does_not_mutate_inputs(small_data):
 def test_run_grid_shape_and_shared_routing(small_data):
     corpus, stream = small_data
     cfg = small_config()
-    grid = run_grid(cfg, [4, 5], ["okm", "bsas"], repeats=2, data=(corpus, stream))
+    grid = run_grid(cfg, [4, 5], ["okm", "bsas"], data=(corpus, stream))
     assert len(grid.cells) == 2 * 2 * 2
     assert len(grid.summary) == 4
     # routing computed once per repeat: same new-population size in every cell
@@ -153,24 +156,23 @@ def test_run_grid_shape_and_shared_routing(small_data):
 
 
 def test_run_grid_validates_inputs(small_data):
-    cfg = small_config()
+    cfg = small_config(repeats=1)
     with pytest.raises(ValueError):
-        run_grid(cfg, [], ["okm"], repeats=1, data=small_data)
+        run_grid(cfg, [], ["okm"], data=small_data)
     with pytest.raises(ValueError):
-        run_grid(cfg, [4], ["bogus"], repeats=1, data=small_data)
+        run_grid(cfg, [4], ["bogus"], data=small_data)
 
 
 def test_baseline_single_cluster_purity_is_dominant_share(small_data):
     corpus, stream = small_data
-    cfg = small_config(online_clusters=1, online_algorithm="okm", repeats=1,
-                       compute_silhouette=False)
-    report = run_reference_baseline(cfg, data=(corpus, stream))
-    r = report.repeats[0]
+    cfg = small_config(repeats=1, compute_silhouette=False)
+    baseline = run_reference_baseline(cfg, [1], ["okm"], data=(corpus, stream))
+    (cell,) = baseline.cells
     families = [s.family for s in corpus.samples] + [s.family for s in stream.samples]
     dominant = max(families.count(f) for f in set(families))
-    assert r.purity_new == dominant / len(families)
-    assert r.silhouette_new is None  # one cluster, and silhouette disabled anyway
-    assert r.new_route_fraction == 1.0
+    assert cell.purity == dominant / len(families)
+    assert cell.silhouette is None  # one cluster, and silhouette disabled anyway
+    assert cell.n_new == len(families)  # routing bypassed: every sample is clustered
 
 
 def test_emission_assignments_use_online_ids(small_data):
@@ -193,8 +195,7 @@ def test_report_writers_golden_headers(tmp_path, small_data):
     corpus, stream = small_data
     cfg = small_config(repeats=1)
     report = run_pipeline(cfg, data=(corpus, stream))
-    grid = run_grid(cfg, [4, 5, 6], ["okm", "som", "bsas"], repeats=1,
-                    data=(corpus, stream))
+    grid = run_grid(cfg, [4, 5, 6], ["okm", "som", "bsas"], data=(corpus, stream))
 
     rpt.write_run_outputs(tmp_path / "run", report, emit_timings=True)
     rpt.write_grid_outputs(tmp_path / "grid", grid, emit_timings=True)
@@ -238,23 +239,6 @@ def test_plot_data_writers(tmp_path):
     assert lines[2] == "30,som,"  # failed cell serialized as empty
 
 
-def test_emit_plot_data_umbrella(tmp_path, small_data):
-    from famstream.decision import TauSweepPoint
-
-    corpus, stream = small_data
-    cfg = small_config(repeats=1)
-    grid = run_grid(cfg, range(4, 11), ["okm", "som", "bsas"], repeats=1,
-                    data=(corpus, stream))
-    sweep = [TauSweepPoint(t, 0.5) for t in (-5.0, -2.0, 0.0, 2.0, 5.0)]
-    written = rpt.emit_plot_data(tmp_path, tau_sweep=sweep, grid=grid)
-    names = {p.name for p in written}
-    assert names == {"tau_sweep.csv", "online_metrics.csv", "online_timings.csv"}
-    metric_lines = (tmp_path / "online_metrics.csv").read_text().splitlines()
-    assert len(metric_lines) == 1 + 7 * 3  # seven cluster counts x three algorithms
-    with pytest.raises(ValueError):
-        rpt.emit_plot_data(tmp_path)
-
-
 def test_run_outputs_byte_deterministic(tmp_path, small_data):
     corpus, stream = small_data
     cfg = small_config(repeats=1)
@@ -265,3 +249,84 @@ def test_run_outputs_byte_deterministic(tmp_path, small_data):
                 "models/scaler.json", "models/known_clusters.json"):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
     assert not (tmp_path / "a" / "timings.json").exists()
+
+
+def test_preprocessing_fit_once_per_call(tmp_path, small_data, monkeypatch):
+    corpus, stream = small_data
+    calls = {"fit_scaler": 0, "fit_pca": 0}
+
+    def counting(name):
+        original = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counting(name))
+
+    def assert_one_fit_each():
+        assert calls == {"fit_scaler": 1, "fit_pca": 1}
+        calls.update(fit_scaler=0, fit_pca=0)
+
+    run_pipeline(small_config(repeats=3), data=(corpus, stream))
+    assert_one_fit_each()
+    run_grid(small_config(repeats=2), [4], ["okm", "bsas"], data=(corpus, stream))
+    assert_one_fit_each()
+    run_reference_baseline(small_config(repeats=2, compute_silhouette=False), [4, 5],
+                           ["okm", "som", "bsas"], data=(corpus, stream))
+    assert_one_fit_each()
+    corpus_path, stream_path = tmp_path / "corpus.csv", tmp_path / "stream.csv"
+    save_dataset(corpus, corpus_path)
+    save_dataset(stream, stream_path)
+    assert main(["sweep-tau", "--corpus", str(corpus_path), "--stream", str(stream_path),
+                 "--n-features", "10", "--corpus-epochs", "3", "--taus=-2,2",
+                 "-o", str(tmp_path / "sweep")]) == 0
+    assert_one_fit_each()
+
+
+def test_run_reproduces_grid_cells(small_data):
+    corpus, stream = small_data
+    cfg = small_config(repeats=2)
+    grid = run_grid(cfg, [4, 5], ["okm", "bsas"], data=(corpus, stream))
+    cells = {(c.algorithm, c.clusters, c.repeat): c for c in grid.cells}
+    for algo, count in (("okm", 4), ("bsas", 5)):
+        report = run_pipeline(
+            small_config(repeats=2, online_algorithm=algo, online_clusters=count),
+            data=(corpus, stream),
+        )
+        for r in report.repeats:
+            cell = cells[(algo, count, r.repeat)]
+            assert (r.new_count, r.purity_new, r.silhouette_new) == \
+                (cell.n_new, cell.purity, cell.silhouette)
+
+
+@pytest.mark.parametrize("role", ["corpus", "stream"])
+def test_non_finite_feature_names_the_sample(small_data, role):
+    corpus, stream = small_data
+    target = corpus if role == "corpus" else stream
+    samples = list(target.samples)
+    bad = samples[7]
+    features = bad.features.copy()
+    features[3] = np.nan
+    samples[7] = Sample(bad.id, features, bad.family, bad.first_seen)
+    broken = Dataset.from_samples(samples)
+    data = (broken, stream) if role == "corpus" else (corpus, broken)
+    with pytest.raises(ValueError, match=f"{role} sample {bad.id!r}"):
+        run_pipeline(small_config(repeats=1), data=data)
+
+
+def test_baseline_cells_follow_grid_failure_policy(small_data, monkeypatch):
+    def failing_silhouette(points, labels):
+        raise ValueError("silhouette failed")
+
+    monkeypatch.setattr(pipeline, "mean_silhouette", failing_silhouette)
+    corpus, stream = small_data
+    cfg = small_config(repeats=1)
+    baseline = run_reference_baseline(cfg, [4], ["okm", "bsas"], data=(corpus, stream))
+    assert [(c.algorithm, c.purity, c.silhouette, c.online_seconds) for c in baseline.cells] \
+        == [("okm", None, None, 0.0), ("bsas", None, None, 0.0)]
+    assert all(row.purity_mean is None for row in baseline.summary)
+    with pytest.raises(ValueError, match="silhouette failed"):
+        run_pipeline(cfg, data=(corpus, stream))  # a run raises instead

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from famstream.data import DimensionMismatchError
-from famstream.wknn import ReferenceSet, WKNNParams, add_reference, classify
+from famstream.wknn import ReferenceSet, WKNNParams, classify
 
 
 def brute_force_classify(points, labels, k, weighting, x):
@@ -116,7 +116,7 @@ def test_add_reference_bootstrap_from_empty():
     ref = ReferenceSet(dim=2)
     with pytest.raises(ValueError):
         classify(ref, WKNNParams(k=1), np.zeros(2))
-    add_reference(ref, np.array([1.0, 1.0]), 2)
+    ref.add(np.array([1.0, 1.0]), 2)
     label, _ = classify(ref, WKNNParams(k=1), np.zeros(2))
     assert label == 2
 
