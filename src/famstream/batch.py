@@ -7,6 +7,7 @@ member mean. Ids default to stringified point indices when none are given.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -14,13 +15,15 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .online import final_assign, som_init, som_update
+from .points import PointBuffer, exact_dists
 
 
 class Cluster:
     """One known cluster: id, running-mean centroid, member points and ids.
 
-    Member storage grows by capacity doubling so the streaming stage can
-    append accepted samples cheaply.
+    Members live in an append-only PointBuffer, so the streaming stage can
+    append accepted samples cheaply. The members' distances to the centroid
+    are cached until the centroid moves or a member joins.
     """
 
     def __init__(self, cluster_id: int, points, member_ids):
@@ -33,39 +36,51 @@ class Cluster:
         if len(member_ids) != pts.shape[0]:
             raise ValueError(f"{pts.shape[0]} points but {len(member_ids)} member ids")
         self.id = int(cluster_id)
-        self._buf = pts
-        self._n = pts.shape[0]
+        self._members = PointBuffer(pts)
         self.member_ids = member_ids
-        self.centroid = pts.mean(axis=0)
+        self._centroid = pts.mean(axis=0)
+        self._centroid_dists: np.ndarray | None = None
 
     @property
     def count(self) -> int:
-        return self._n
+        return len(self._members)
 
     @property
     def member_points(self) -> np.ndarray:
-        return self._buf[: self._n]
+        return self._members.points
+
+    @property
+    def sq_norms(self) -> np.ndarray:
+        """Squared norm of each member point."""
+        return self._members.sq_norms
+
+    @property
+    def centroid(self) -> np.ndarray:
+        """Running mean of the members; only add_member moves it."""
+        return self._centroid
+
+    def centroid_dists(self) -> np.ndarray:
+        """d(y, centroid) for every member y, as `points.exact_dists` gives it."""
+        if self._centroid_dists is None:
+            self._centroid_dists = exact_dists(self.member_points, self._centroid)
+        return self._centroid_dists
 
     def add_member(self, x, member_id: str, update_centroid: bool = True) -> None:
         """Append one member; optionally advance the running-mean centroid."""
         x = np.asarray(x, dtype=np.float64)
-        if self._n == self._buf.shape[0]:
-            grown = np.empty((max(8, 2 * self._buf.shape[0]), self._buf.shape[1]))
-            grown[: self._n] = self._buf[: self._n]
-            self._buf = grown
-        self._buf[self._n] = x
-        self._n += 1
+        self._members.append(x)
         self.member_ids.append(str(member_id))
+        self._centroid_dists = None
         if update_centroid:
-            self.centroid = self.centroid + (x - self.centroid) / self._n
+            self._centroid = self._centroid + (x - self._centroid) / self.count
 
     def __deepcopy__(self, memo):
         clone = Cluster.__new__(Cluster)
         clone.id = self.id
-        clone._buf = self._buf.copy()
-        clone._n = self._n
+        clone._members = copy.deepcopy(self._members, memo)
         clone.member_ids = list(self.member_ids)
-        clone.centroid = self.centroid.copy()
+        clone._centroid = self._centroid.copy()
+        clone._centroid_dists = self._centroid_dists
         return clone
 
 

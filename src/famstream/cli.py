@@ -21,6 +21,7 @@ from .pipeline import (
     PipelineConfig,
     build_known_model,
     fit_projection,
+    grid_axes,
     load_inputs,
     repeat_seed,
     run_grid,
@@ -58,6 +59,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int(text: str, entry: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"bad integer {entry!r}") from None
+
+
 def parse_int_list(text: str) -> list[int]:
     """Parse '4-10' ranges and '4,6,8' lists (mixable)."""
     out: list[int] = []
@@ -69,9 +77,9 @@ def parse_int_list(text: str) -> list[int]:
             lo, hi = part.split("-", 1) if not part.startswith("-") else (part, "")
             if hi == "":
                 raise UsageError(f"bad integer range {part!r}")
-            out.extend(range(int(lo), int(hi) + 1))
+            out.extend(range(_int(lo, part), _int(hi, part) + 1))
         else:
-            out.append(int(part))
+            out.append(_int(part, part))
     if not out:
         raise UsageError(f"empty integer list {text!r}")
     return out
@@ -219,10 +227,10 @@ def cmd_run(args) -> int:
 def _grid_axes(args) -> tuple[list[int], list[str]]:
     counts = parse_int_list(args.cluster_counts)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    for algo in algorithms:
-        if algo not in ONLINE_ALGORITHMS:
-            raise UsageError(f"unknown online algorithm {algo!r}")
-    return counts, algorithms
+    try:
+        return grid_axes(counts, algorithms)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _print_summary(summary, prefix: str = "") -> None:

@@ -6,17 +6,25 @@ d(x, centroid)), all distances Euclidean. Positive tau lets clusters expand
 past their current hull; negative tau admits only interior points and in
 particular rejects everything closer to the centroid than |tau| (no witness
 can exist there, by the triangle inequality).
+
+`accepts` takes every d(y, x) from one matrix-vector product
+(`points.sq_dists`), whose error bound tells which members' margins it can
+decide. Only members whose margin lies within that bound of zero are
+recomputed exactly, so the answer equals the exact rule's. The members'
+d(y, centroid) come from the cluster's cache when routing supplies them.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .batch import KnownClusters
 from .data import Dataset, Route, RouteAssignment, check_dim
+from .points import exact_dists, sq_dists
 from .wknn import ReferenceSet, WKNNParams, classify
 
 
@@ -40,8 +48,12 @@ class DecisionParams:
             raise ValueError(f"tau must be finite, got {self.tau}")
 
 
-def accepts(members, centroid, x, tau: float) -> bool:
-    """True when some member witnesses that x belongs to this cluster."""
+def accepts(members, centroid, x, tau: float, *, sq_norms=None, centroid_dists=None) -> bool:
+    """True when some member witnesses that x belongs to this cluster.
+
+    sq_norms and centroid_dists, when given, must be the members' squared
+    norms and `points.exact_dists(members, centroid)`; a Cluster keeps both.
+    """
     M = np.asarray(members, dtype=np.float64)
     if M.ndim == 1:
         M = M[None, :]
@@ -51,12 +63,26 @@ def accepts(members, centroid, x, tau: float) -> bool:
     x = np.asarray(x, dtype=np.float64)
     check_dim(M.shape[1], x.shape[-1], "accepts")
     check_dim(M.shape[1], centroid.shape[-1], "accepts")
+    if sq_norms is None:
+        sq_norms = np.einsum("ij,ij->i", M, M)
+    if centroid_dists is None:
+        centroid_dists = exact_dists(M, centroid)
     d_xc = float(np.sqrt(np.sum((x - centroid) ** 2)))
-    diff_c = M - centroid
-    diff_x = M - x
-    d_yc = np.sqrt(np.einsum("ij,ij->i", diff_c, diff_c))
-    d_yx = np.sqrt(np.einsum("ij,ij->i", diff_x, diff_x))
-    return bool(np.any(d_yc + tau >= np.maximum(d_yx, d_xc)))
+    reach = centroid_dists + tau
+    sq, err = sq_dists(M, sq_norms, x)
+    # sqrt(max(sq, 0)) is within sqrt(err) of the exact d(y, x), with room to
+    # spare for the roundings of the square roots and of the margin itself.
+    slack = math.sqrt(err)
+    margin = reach - np.maximum(np.sqrt(np.maximum(sq, 0.0)), d_xc)
+    if margin.max() >= slack:
+        return True
+    # Margins below -slack are negative exactly too; `~(margin < -slack)`
+    # keeps every member when the bound overflowed to inf or nan.
+    near = np.flatnonzero(~(margin < -slack))
+    if near.size == 0:
+        return False
+    d_yx = exact_dists(M[near], x)
+    return bool(np.any(reach[near] >= np.maximum(d_yx, d_xc)))
 
 
 def route_sample(
@@ -77,7 +103,14 @@ def route_sample(
     """
     label, _ = classify(ref, params, x)
     cluster = known.cluster_by_id(label)
-    if accepts(cluster.member_points, cluster.centroid, x, dp.tau):
+    if accepts(
+        cluster.member_points,
+        cluster.centroid,
+        x,
+        dp.tau,
+        sq_norms=cluster.sq_norms,
+        centroid_dists=cluster.centroid_dists(),
+    ):
         if dp.grow_members:
             cluster.add_member(x, sample_id, update_centroid=dp.update_centroids)
         if dp.grow_reference:

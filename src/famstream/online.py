@@ -375,6 +375,8 @@ class StreamingClusterer:
         self.state = None
         self.emitted: list[int] = []
         self._pending: list[np.ndarray] = []
+        self._warmup: list[np.ndarray] = []  # okm: distinct pending vectors, first seen first
+        self._seen: set[tuple] = set()
         self._finalized = False
         if algorithm == "som":
             horizon = float(expected_stream_length or 1000)
@@ -397,8 +399,11 @@ class StreamingClusterer:
         if self.state is None:
             self._pending.append(x)
             if self.algorithm == "okm":
-                distinct = {tuple(p) for p in self._pending}
-                if len(distinct) >= self.n_clusters:
+                key = tuple(x)
+                if key not in self._seen:
+                    self._seen.add(key)
+                    self._warmup.append(x)
+                if len(self._warmup) >= self.n_clusters:
                     self._start_okm()
                     return self.emitted[-1]
             elif self.algorithm == "bsas":
@@ -419,14 +424,8 @@ class StreamingClusterer:
         return idx
 
     def _start_okm(self) -> None:
-        warmup: list[np.ndarray] = []
-        seen: set[tuple] = set()
-        for p in self._pending:
-            key = tuple(p)
-            if key not in seen and len(warmup) < self.n_clusters:
-                seen.add(key)
-                warmup.append(p)
-        self.state = okm_init(len(warmup), np.stack(warmup))
+        self.state = okm_init(len(self._warmup), np.stack(self._warmup))
+        self._warmup, self._seen = [], set()
         self._replay()
 
     def _start_bsas(self) -> None:

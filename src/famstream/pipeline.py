@@ -557,11 +557,15 @@ class GridResult:
     summary: list[GridSummaryRow]
 
 
-def _grid_axes(cluster_counts, algorithms) -> tuple[list[int], list[str]]:
+def grid_axes(cluster_counts, algorithms) -> tuple[list[int], list[str]]:
+    """Validate a grid's cluster counts and algorithms before any cell runs."""
     counts = [int(c) for c in cluster_counts]
     algos = list(algorithms)
     if not counts or not algos:
         raise ValueError("cluster_counts and algorithms must be non-empty")
+    for count in counts:
+        if count < 1:
+            raise ValueError(f"cluster counts must be >= 1, got {count}")
     for algo in algos:
         if algo not in ONLINE_ALGORITHMS:
             raise ValueError(f"unknown online algorithm {algo!r}")
@@ -624,7 +628,7 @@ def run_grid(
     algorithm, count). Cell failures are recorded as empty metrics and do
     not stop the grid.
     """
-    counts, algos = _grid_axes(cluster_counts, algorithms)
+    counts, algos = grid_axes(cluster_counts, algorithms)
     corpus, stream, labels, proj = _prepare(config, data)
     cells = [
         _grid_cell(routing.new_ids, routing.new_points, algo, count, r, base, config, labels)
@@ -651,7 +655,7 @@ def run_reference_baseline(
     follow the grid's failure policy: a cell whose online stage or metrics
     raise ValueError gets empty metrics, and the sweep goes on.
     """
-    counts, algos = _grid_axes(cluster_counts, algorithms)
+    counts, algos = grid_axes(cluster_counts, algorithms)
     corpus, stream, labels, proj = _prepare(config, data)
     ids = corpus.ids() + stream.ids()
     # Routing projects each stream sample on its own (run_routing,

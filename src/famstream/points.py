@@ -1,0 +1,112 @@
+"""Append-only point storage and the distance kernel routing runs on.
+
+PointBuffer keeps float64 points with their squared norms. It backs both the
+WKNN reference set and each known cluster's member list.
+
+`sq_dists` gives the squared distances from one query to every stored point
+as one matrix-vector product, s = |p|^2 - 2 p.x + |x|^2, together with a bound
+on how far each entry may sit from the squared distance that `exact_dists`
+computes the direct way. Callers decide on s wherever the bound cannot flip
+the decision and recompute exactly, with `exact_dists`, only the rows where it
+can. That keeps every decision identical to scanning with `exact_dists` alone.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+EPS = float(np.finfo(np.float64).eps)
+
+
+class PointBuffer:
+    """Append-only (n, dim) float64 points and their squared norms.
+
+    Storage grows by capacity doubling, so appending one point is amortised
+    O(dim). The buffer adopts the array it is built from; callers pass one
+    they no longer modify.
+    """
+
+    def __init__(self, points: np.ndarray):
+        self._points = np.asarray(points, dtype=np.float64)
+        self._sq_norms = np.einsum("ij,ij->i", self._points, self._points)
+        self._n = self._points.shape[0]
+
+    def __len__(self) -> int:
+        return self._n
+
+    @property
+    def dim(self) -> int:
+        return self._points.shape[1]
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._points[: self._n]
+
+    @property
+    def sq_norms(self) -> np.ndarray:
+        return self._sq_norms[: self._n]
+
+    def append(self, x: np.ndarray) -> None:
+        if self._n == self._points.shape[0]:
+            capacity = max(8, 2 * self._n)
+            points = np.empty((capacity, self.dim))
+            points[: self._n] = self.points
+            sq_norms = np.empty(capacity)
+            sq_norms[: self._n] = self.sq_norms
+            self._points, self._sq_norms = points, sq_norms
+        row = self._points[self._n]
+        row[:] = x
+        self._sq_norms[self._n] = row @ row
+        self._n += 1
+
+    def __deepcopy__(self, memo):
+        clone = PointBuffer.__new__(PointBuffer)
+        clone._points = self._points.copy()
+        clone._sq_norms = self._sq_norms.copy()
+        clone._n = self._n
+        return clone
+
+
+def exact_dists(points: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Euclidean distance from x to each row of points, computed directly.
+
+    Each row's result depends only on that row and x, not on which other rows
+    are passed along, so recomputing a subset reproduces the full scan's bits.
+    """
+    diff = points - x
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def sq_dists(points: np.ndarray, sq_norms: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Approximate squared distances from x to each row, and their error bound.
+
+    Returns (s, err): each s_i lies within err of the sum of squares whose
+    square root `exact_dists` returns for row i.
+
+    The bound, with u = EPS / 2, n the dot length and R = max|p| + |x|: a
+    floating-point dot product or sum of squares of length n is within
+    gamma_n = n u / (1 - n u) of exact, relative to the sum of its terms'
+    magnitudes, in any summation order and with or without FMA. Here |p|^2,
+    2 p.x and |x|^2 together have magnitudes at most R^2, and the two
+    additions forming s add u R^2 each, so s is within (n + 2) u R^2 of the
+    exact |p - x|^2. The direct form sum((p - x)^2) rounds each difference
+    (2u after squaring) and then the sum (gamma_n), and |p - x| <= R, so it
+    too is within (n + 2) u R^2. Together: (n + 2) EPS R^2 to first order.
+    err = (n + 6) EPS R^2 adds 4 EPS R^2 to that. It absorbs the higher-order
+    terms, and when two entries of s differ by more than 2 err, their exact
+    counterparts then differ by more than 4 EPS times the smaller one, enough
+    for their rounded square roots to differ as well.
+
+    The bound assumes no square underflows (entries far below 1e-150). An
+    overflowing bound is inf or nan; callers then treat every row as
+    undecided, which falls back to the exact scan.
+    """
+    xx = float(x @ x)
+    s = points @ x
+    s *= -2.0
+    s += sq_norms
+    s += xx
+    r = math.sqrt(float(sq_norms.max())) + math.sqrt(xx)
+    return s, (points.shape[1] + 6) * EPS * r * r

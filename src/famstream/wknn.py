@@ -1,17 +1,21 @@
 """Distance-weighted k-nearest-neighbor classification (Dudani weighting).
 
 The reference set carries the clustered corpus: each point is labeled with
-its cluster id. Neighbor search is an exact linear scan; at desk scale the
-voting formula is the contract, not the lookup speed.
+its cluster id. Neighbor search scans every reference point once per query
+with one matrix-vector product (`points.sq_dists`), then computes exact
+distances only for the rows that can still be among the k nearest. The
+neighbors, their order and the vote are those of an exact full sort.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import check_dim
+from .points import PointBuffer, exact_dists, sq_dists
 
 WEIGHTINGS = ("uniform", "distance")
 
@@ -38,17 +42,15 @@ class WKNNParams:
 class ReferenceSet:
     """Labeled points backing the classifier; grows as the stream is accepted.
 
-    Append-only with capacity doubling. Many readers may classify
-    concurrently; additions must be exclusive.
+    Append-only. Many readers may classify concurrently; additions must be
+    exclusive.
     """
 
     def __init__(self, points=None, labels=None, dim: int | None = None):
         if points is None:
             if dim is None:
                 raise ValueError("an empty ReferenceSet needs an explicit dim")
-            self.dim = int(dim)
-            self._buf = np.empty((0, self.dim), dtype=np.float64)
-            self._n = 0
+            self._store = PointBuffer(np.empty((0, int(dim))))
             self._labels: list[int] = []
             return
         pts = np.array(points, dtype=np.float64)
@@ -57,41 +59,42 @@ class ReferenceSet:
         labels = [int(l) for l in (labels or [])]
         if len(labels) != pts.shape[0]:
             raise ValueError(f"{pts.shape[0]} points but {len(labels)} labels")
-        self.dim = pts.shape[1] if dim is None else int(dim)
-        check_dim(self.dim, pts.shape[1], "ReferenceSet")
-        self._buf = pts
-        self._n = pts.shape[0]
+        if dim is not None:
+            check_dim(int(dim), pts.shape[1], "ReferenceSet")
+        self._store = PointBuffer(pts)
         self._labels = labels
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._store)
+
+    @property
+    def dim(self) -> int:
+        return self._store.dim
 
     @property
     def points(self) -> np.ndarray:
-        return self._buf[: self._n]
+        return self._store.points
+
+    @property
+    def sq_norms(self) -> np.ndarray:
+        return self._store.sq_norms
 
     @property
     def labels(self) -> list[int]:
-        return self._labels[: self._n]
+        """The live label list, in insertion order; callers must not mutate it."""
+        return self._labels
 
     def add(self, x, label: int) -> "ReferenceSet":
         """Append one labeled point; later queries may select it."""
         x = np.asarray(x, dtype=np.float64)
         check_dim(self.dim, x.shape[-1], "ReferenceSet.add")
-        if self._n == self._buf.shape[0]:
-            grown = np.empty((max(8, 2 * self._buf.shape[0]), self.dim))
-            grown[: self._n] = self._buf[: self._n]
-            self._buf = grown
-        self._buf[self._n] = x
+        self._store.append(x)
         self._labels.append(int(label))
-        self._n += 1
         return self
 
     def __deepcopy__(self, memo):
         clone = ReferenceSet.__new__(ReferenceSet)
-        clone.dim = self.dim
-        clone._buf = self._buf.copy()
-        clone._n = self._n
+        clone._store = copy.deepcopy(self._store, memo)
         clone._labels = list(self._labels)
         return clone
 
@@ -119,14 +122,21 @@ def classify(
         raise ValueError(f"k={params.k} exceeds reference set size {len(ref)}")
     x = np.asarray(x, dtype=np.float64)
     check_dim(ref.dim, x.shape[-1], "classify")
-    P = ref.points
-    diff = P - x
-    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    order = np.argsort(dists, kind="stable")[: params.k]
-    d = dists[order]
+    k = params.k
+    sq, err = sq_dists(ref.points, ref.sq_norms, x)
+    kth = np.partition(sq, k - 1)[k - 1]
+    # Rows beyond kth + 2 err are strictly farther, after rounding, than each
+    # of the k rows at or below kth, so they cannot be among the k nearest.
+    # Kept in index order, the rest sort stably into the full scan's order.
+    # `~(sq > limit)` keeps every row when the bound overflowed to inf or nan.
+    candidates = np.flatnonzero(~(sq > kth + 2.0 * err))
+    cand_dists = exact_dists(ref.points[candidates], x)
+    pick = np.argsort(cand_dists, kind="stable")[:k]
+    order = candidates[pick]
+    d = cand_dists[pick]
     d1, dk = float(d[0]), float(d[-1])
     if params.weighting == "uniform" or dk == d1:
-        weights = np.ones(params.k)
+        weights = np.ones(k)
     else:
         weights = (dk - d) / (dk - d1)
 
@@ -141,5 +151,5 @@ def classify(
         winner = tied.pop()
     else:
         winner = next(labels[int(idx)] for idx in order if labels[int(idx)] in tied)
-    neighbors = [(P[int(idx)].copy(), float(dists[int(idx)])) for idx in order]
+    neighbors = [(ref.points[int(idx)].copy(), float(dist)) for idx, dist in zip(order, d)]
     return winner, neighbors

@@ -38,6 +38,19 @@ def test_parse_int_list():
     assert parse_float_list("-5,-2,0") == [-5.0, -2.0, 0.0]
 
 
+def test_bad_cluster_counts_are_usage_errors(tmp_path, data_files, capsys):
+    for text in ("x", "4,x", "4-x"):
+        with pytest.raises(UsageError, match="bad integer"):
+            parse_int_list(text)
+    for cmd in ("grid", "baseline"):
+        for counts, message in (("x", "bad integer 'x'"), ("0", "got 0"), ("3,-1", "got -1")):
+            out = tmp_path / f"{cmd}-{counts}"
+            assert main([cmd, "--data", str(data_files["combined"]), "--cutoff", "2018-11",
+                         *BASE, "--cluster-counts", counts, "-o", str(out)]) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_run_with_split(tmp_path, data_files, capsys):
     out = tmp_path / "out"
     code = main(["run", "--data", str(data_files["combined"]), "--cutoff", "2018-11",

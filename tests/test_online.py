@@ -273,6 +273,22 @@ def test_streaming_okm_warmup_with_duplicates():
     np.testing.assert_array_equal(state.centroids[0], a)
 
 
+def test_streaming_okm_warmup_duplicate_heavy_stream():
+    # 3 distinct vectors repeated 400 times, the 4th distinct one at index 1200
+    rng = np.random.default_rng(8)
+    distinct = rng.normal(size=(4, 3))
+    stream = [distinct[i % 3] for i in range(1200)] + [distinct[3], distinct[1], distinct[0]]
+    sc = StreamingClusterer("okm", 4, dim=3)
+    emitted = [sc.push(x) for x in stream]
+    assert emitted[:1200] == [None] * 1200
+    assert sc.emitted[:1201] == [0, 1, 2] * 400 + [3]
+
+    state = okm_init(4, distinct)
+    want = [okm_update(state, x) for x in stream]
+    assert sc.emitted == want
+    np.testing.assert_array_equal(sc.finalize().centroids, state.centroids)
+
+
 def test_streaming_okm_short_stream_falls_back():
     sc = StreamingClusterer("okm", 5, dim=1)
     sc.push(np.array([0.0]))

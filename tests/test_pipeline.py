@@ -163,6 +163,17 @@ def test_run_grid_validates_inputs(small_data):
         run_grid(cfg, [4], ["bogus"], data=small_data)
 
 
+def test_cluster_counts_below_one_rejected_before_any_cell(small_data, monkeypatch):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(pipeline, "_cluster_cell", no_cell)
+    cfg = small_config(repeats=1)
+    for run in (run_grid, run_reference_baseline):
+        with pytest.raises(ValueError, match="got 0"):
+            run(cfg, [4, 0], ["okm"], data=small_data)
+
+
 def test_baseline_single_cluster_purity_is_dominant_share(small_data):
     corpus, stream = small_data
     cfg = small_config(repeats=1, compute_silhouette=False)

@@ -1,0 +1,261 @@
+"""The distance kernel and the routing decisions built on it.
+
+classify and accepts take their distances from one matrix-vector product and
+recompute exactly only near ties. Their answers must equal the full-scan
+formulas they replaced, written out here as oracles, bit for bit.
+"""
+
+import copy
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from famstream import decision, wknn
+from famstream.batch import Cluster
+from famstream.data import Route
+from famstream.decision import DecisionParams, accepts, route_sample
+from famstream.pipeline import PipelineConfig, build_known_model, fit_projection, transform_stream
+from famstream.points import PointBuffer, sq_dists
+from famstream.wknn import ReferenceSet, WKNNParams, classify
+
+
+def full_sort_classify(points, labels, k, weighting, x):
+    """Every distance, one stable full sort: (label, neighbor indices, distances)."""
+    diff = points - x
+    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    order = np.argsort(dists, kind="stable")[:k]
+    d = dists[order]
+    d1, dk = float(d[0]), float(d[-1])
+    weights = np.ones(k) if weighting == "uniform" or dk == d1 else (dk - d) / (dk - d1)
+    scores = {}
+    for idx, w in zip(order, weights):
+        scores[labels[idx]] = scores.get(labels[idx], 0.0) + float(w)
+    top = max(scores.values())
+    tied = {lab for lab, s in scores.items() if s == top}
+    winner = next(labels[idx] for idx in order if labels[idx] in tied)
+    return winner, order.tolist(), d.tolist()
+
+
+def full_matrix_accepts(members, centroid, x, tau):
+    """Both distance rows over every member, then the witness test."""
+    d_xc = float(np.sqrt(np.sum((x - centroid) ** 2)))
+    diff_c = members - centroid
+    diff_x = members - x
+    d_yc = np.sqrt(np.einsum("ij,ij->i", diff_c, diff_c))
+    d_yx = np.sqrt(np.einsum("ij,ij->i", diff_x, diff_x))
+    return bool(np.any(d_yc + tau >= np.maximum(d_yx, d_xc)))
+
+
+def python_accepts(members, centroid, x, tau):
+    """Plain-float brute force; exact on small integer lattices."""
+    c, xs = centroid.tolist(), x.tolist()
+    d_xc = math.dist(xs, c)
+    return any(math.dist(y, c) + tau >= max(math.dist(y, xs), d_xc) for y in members.tolist())
+
+
+def check_classify(points, labels, k, weighting, x):
+    ref = ReferenceSet(points=points, labels=labels)
+    got, neighbors = classify(ref, WKNNParams(k=k, weighting=weighting), x)
+    want, order, dists = full_sort_classify(points, labels, k, weighting, x)
+    assert got == want
+    assert [d for _, d in neighbors] == dists
+    np.testing.assert_array_equal(np.array([p for p, _ in neighbors]), points[order])
+
+
+# Small integer lattices give exact distance ties, duplicate points and
+# witness margins of exactly 0; a shared pool of float vectors gives
+# duplicates away from the lattice.
+dims = st.integers(1, 4)
+
+
+@st.composite
+def point_sets(draw, min_size=1, max_size=24):
+    d = draw(dims)
+    n = draw(st.integers(min_size, max_size))
+    if draw(st.booleans()):
+        coords = draw(st.lists(st.integers(-3, 3), min_size=n * d + d, max_size=n * d + d))
+        flat = np.array(coords, dtype=np.float64)
+        return flat[: n * d].reshape(n, d), flat[n * d:]
+    pool_size = draw(st.integers(1, n + 1))
+    # magnitudes below 1e-6 become 0, so no square underflows
+    values = st.floats(-1e3, 1e3).map(lambda v: 0.0 if abs(v) < 1e-6 else v)
+    pool = np.array(draw(st.lists(values, min_size=pool_size * d, max_size=pool_size * d)))
+    pool = pool.reshape(pool_size, d)
+    picks = draw(st.lists(st.integers(0, pool_size - 1), min_size=n + 1, max_size=n + 1))
+    return pool[picks[:n]], pool[picks[n]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=point_sets(), k_frac=st.floats(0, 1), uniform=st.booleans(),
+       n_labels=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_classify_equals_full_sort(data, k_frac, uniform, n_labels, seed):
+    points, x = data
+    k = 1 + int(k_frac * (len(points) - 1))
+    labels = np.random.default_rng(seed).integers(0, n_labels, size=len(points)).tolist()
+    check_classify(points, labels, k, "uniform" if uniform else "distance", x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=point_sets(), centroid_mode=st.sampled_from(["mean", "lattice"]),
+       tau=st.one_of(st.integers(-4, 4).map(float), st.floats(-5, 5)))
+def test_accepts_equals_full_matrix(data, centroid_mode, tau):
+    members, x = data
+    if centroid_mode == "mean":
+        centroid = members.mean(axis=0)
+    else:
+        centroid = np.round(members[-1] * 0.5)
+    got = accepts(members, centroid, x, tau)
+    assert got == full_matrix_accepts(members, centroid, x, tau)
+    if np.all(members == np.round(members)) and np.all(x == np.round(x)) and tau == round(tau):
+        if np.all(centroid == np.round(centroid)):
+            assert got == python_accepts(members, centroid, x, tau)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=point_sets(), scale=st.sampled_from([1e-100, 1e-3, 1.0, 1e3, 1e100]))
+def test_sq_dists_within_bound(data, scale):
+    points, x = data
+    points, x = points * scale, x * scale
+    buf = PointBuffer(points)
+    s, err = sq_dists(buf.points, buf.sq_norms, x)
+    diff = points - x
+    exact = np.einsum("ij,ij->i", diff, diff)
+    assert np.all(np.abs(s - exact) <= err)
+
+
+@pytest.fixture
+def spy_exact(monkeypatch):
+    """Record how many rows each exact recomputation covers, per module."""
+    calls = {"wknn": [], "decision": []}
+    for name, module in (("wknn", wknn), ("decision", decision)):
+        real = module.exact_dists
+
+        def spy(points, x, _real=real, _log=calls[name]):
+            _log.append(len(points))
+            return _real(points, x)
+
+        monkeypatch.setattr(module, "exact_dists", spy)
+    return calls
+
+
+def test_classify_recomputes_only_candidates(spy_exact):
+    rng = np.random.default_rng(4)
+    points = rng.normal(size=(500, 6))
+    check_classify(points, [i % 3 for i in range(500)], 5, "distance", rng.normal(size=6))
+    assert spy_exact["wknn"] == [5]
+    # four points tie at the 2nd distance: all four are candidates
+    ring = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [5.0, 5.0]])
+    check_classify(ring, [5, 6, 7, 8, 9], 2, "distance", np.zeros(2))
+    assert spy_exact["wknn"][-1] == 4
+    # squares overflow, so the bound does too: every row is a candidate
+    check_classify(points[:50] * 1e200, [i % 3 for i in range(50)], 5, "distance",
+                   np.zeros(6))
+    assert spy_exact["wknn"][-1] == 50
+
+
+def test_decisions_far_from_the_origin():
+    # Norms of 2e4 swamp squared distances near 1e-10: the product form's
+    # order is rounding noise there, and only the exact recheck sorts it out.
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        points = 1e4 + rng.normal(size=(200, 4)) * 1e-5
+        x = 1e4 + rng.normal(size=4) * 1e-5
+        check_classify(points, [i % 4 for i in range(200)], 3, "distance", x)
+        centroid = points.mean(axis=0)
+        for tau in (-2e-5, -1e-5, 0.0, 1e-5):
+            want = full_matrix_accepts(points, centroid, x, tau)
+            assert accepts(points, centroid, x, tau) == want
+
+
+def test_accepts_decides_from_the_bound_and_rechecks_near_zero(spy_exact):
+    members = np.array([[0.0], [2.0]])
+    centroid = np.array([1.0])
+    cached = np.array([1.0, 1.0])
+
+    def run(x, tau):
+        got = accepts(members, centroid, np.array([x]), tau, centroid_dists=cached)
+        assert got == full_matrix_accepts(members, centroid, np.array([x]), tau)
+        return got, list(spy_exact["decision"])
+
+    assert run(1.5, 0.0) == (True, [])  # margin 0.5: accepted from the bound
+    assert run(9.0, 0.0) == (False, [])  # margins <= -7: rejected from the bound
+    # y=2, x=3: d(y,c) + tau = 1 + tau against max(d(y,x), d(x,c)) = 2
+    assert run(3.0, 1.0) == (True, [1])  # margin exactly 0: rechecked, witness
+    assert run(3.0, 1.0 - 1e-12) == (False, [1, 1])  # just below 0: rechecked, none
+
+
+def test_cluster_caches_centroid_dists_until_state_changes():
+    cluster = Cluster(0, [[0.0, 0.0], [2.0, 0.0]], ["a", "b"])
+    first = cluster.centroid_dists()
+    assert cluster.centroid_dists() is first
+    cluster.add_member(np.array([1.0, 3.0]), "c", update_centroid=False)
+    np.testing.assert_array_equal(cluster.centroid_dists(), [1.0, 1.0, 3.0])
+    cluster.add_member(np.array([-1.0, 0.0]), "d")  # centroid moves to (0.5, 0)
+    np.testing.assert_array_equal(cluster.centroid_dists(), [0.5, 1.5, math.sqrt(9.25), 1.5])
+    clone = copy.deepcopy(cluster)
+    clone.add_member(np.array([4.0, 0.0]), "e")
+    assert cluster.count == 4 and len(cluster.centroid_dists()) == 4
+    np.testing.assert_array_equal(clone.sq_norms, [0.0, 4.0, 10.0, 1.0, 16.0])
+    with pytest.raises(AttributeError):
+        cluster.centroid = np.zeros(2)
+
+
+def old_replay(known, ref, params, dp, stream):
+    """Route the stream with the full-scan formulas on plain copies of the state."""
+    members = {c.id: c.member_points.copy() for c in known.clusters}
+    member_ids = {c.id: list(c.member_ids) for c in known.clusters}
+    centroids = {c.id: c.centroid.copy() for c in known.clusters}
+    ref_points, ref_labels = ref.points.copy(), list(ref.labels)
+    routes = []
+    for sample in stream.samples:
+        x = sample.features
+        label, _, _ = full_sort_classify(ref_points, ref_labels, params.k, params.weighting, x)
+        if full_matrix_accepts(members[label], centroids[label], x, dp.tau):
+            if dp.grow_members:
+                members[label] = np.vstack([members[label], x])
+                member_ids[label].append(sample.id)
+                if dp.update_centroids:
+                    c = centroids[label]
+                    centroids[label] = c + (x - c) / len(members[label])
+            if dp.grow_reference:
+                ref_points = np.vstack([ref_points, x])
+                ref_labels.append(label)
+            routes.append((Route.KNOWN, label))
+        else:
+            routes.append((Route.NEW, label))
+    return routes, members, member_ids, centroids, ref_points, ref_labels
+
+
+@pytest.mark.parametrize(
+    "grow_reference,grow_members,update_centroids",
+    list(itertools.product([True, False], repeat=3)),
+)
+def test_routing_replay_matches_full_scan(small_data, grow_reference, grow_members,
+                                          update_centroids):
+    corpus, stream = small_data
+    config = PipelineConfig(n_features=10, corpus_epochs=2, seed=5)
+    proj = fit_projection(corpus, stream, config.n_features)
+    known, ref = build_known_model(corpus, proj.corpus_z, config, seed=config.seed)
+    z_stream = transform_stream(proj.scaler, proj.pca, stream)
+    dp = DecisionParams(tau=-0.5, grow_reference=grow_reference, grow_members=grow_members,
+                        update_centroids=update_centroids)
+    want = old_replay(known, ref, config.wknn, dp, z_stream)
+
+    routes = []
+    for sample in z_stream.samples:
+        out = route_sample(known, ref, config.wknn, dp, sample.features, sample.id)
+        routes.append((out.route, out.cluster_id))
+    want_routes, members, member_ids, centroids, ref_points, ref_labels = want
+    assert routes == want_routes
+    assert 0 < sum(r is Route.KNOWN for r, _ in routes) < len(routes)
+    for c in known.clusters:
+        np.testing.assert_array_equal(c.member_points, members[c.id])
+        assert c.member_ids == member_ids[c.id]
+        np.testing.assert_array_equal(c.centroid, centroids[c.id])
+    np.testing.assert_array_equal(ref.points, ref_points)
+    assert ref.labels == ref_labels
+
