@@ -20,6 +20,7 @@ from .pipeline import (
     ONLINE_ALGORITHMS,
     PipelineConfig,
     build_known_model,
+    check_data_shape,
     fit_projection,
     grid_axes,
     load_inputs,
@@ -197,6 +198,16 @@ def _load(config: PipelineConfig) -> tuple[Dataset, Dataset]:
         raise DataError(str(exc)) from exc
 
 
+def _load_for_model(config: PipelineConfig) -> tuple[Dataset, Dataset]:
+    """Load the inputs and check the config's data-shape fields against them."""
+    corpus, stream = _load(config)
+    try:
+        check_data_shape(config, corpus)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return corpus, stream
+
+
 def _outdir(config: PipelineConfig) -> Path:
     return Path(config.output_dir or DEFAULT_OUTPUT_DIR)
 
@@ -207,8 +218,7 @@ def _fmt(value) -> str:
 
 def cmd_run(args) -> int:
     config = build_config(args)
-    data = _load(config)
-    report = run_pipeline(config, data=data)
+    report = run_pipeline(config, data=_load_for_model(config))
     outdir = _outdir(config)
     write_run_outputs(outdir, report, emit_timings=args.emit_timings)
     agg = report.aggregates
@@ -241,12 +251,23 @@ def _print_summary(summary, prefix: str = "") -> None:
         )
 
 
+def _report_failed_cells(cells) -> None:
+    for cell in cells:
+        if cell.error is not None:
+            print(
+                f"cell {cell.algorithm} k={cell.clusters} repeat {cell.repeat} failed: "
+                f"{cell.error}",
+                file=sys.stderr,
+            )
+
+
 def cmd_grid(args) -> int:
     config = build_config(args)
     counts, algorithms = _grid_axes(args)
-    grid = run_grid(config, counts, algorithms, data=_load(config))
+    grid = run_grid(config, counts, algorithms, data=_load_for_model(config))
     outdir = _outdir(config)
     write_grid_outputs(outdir, grid, emit_timings=args.emit_timings)
+    _report_failed_cells(grid.cells)
     _print_summary(grid.summary)
     print(f"outputs in {outdir}")
     return 0
@@ -255,10 +276,11 @@ def cmd_grid(args) -> int:
 def cmd_baseline(args) -> int:
     config = build_config(args)
     counts, algorithms = _grid_axes(args)
-    baseline = run_reference_baseline(config, counts, algorithms, data=_load(config))
+    baseline = run_reference_baseline(config, counts, algorithms, data=_load_for_model(config))
     outdir = _outdir(config)
     write_baseline_results(outdir / "baseline_results.csv", baseline.cells)
     write_baseline_metrics(outdir / "baseline_metrics.csv", baseline.summary)
+    _report_failed_cells(baseline.cells)
     _print_summary(baseline.summary, prefix="baseline ")
     print(f"outputs in {outdir}")
     return 0
@@ -267,7 +289,7 @@ def cmd_baseline(args) -> int:
 def cmd_sweep_tau(args) -> int:
     config = build_config(args)
     taus = parse_float_list(args.taus)
-    corpus, stream = _load(config)
+    corpus, stream = _load_for_model(config)
     proj = fit_projection(corpus, stream, config.n_features)
     known, ref = build_known_model(corpus, proj.corpus_z, config, repeat_seed(config.seed, 0))
     z_stream = transform_stream(proj.scaler, proj.pca, stream)

@@ -2,7 +2,9 @@
 
 Purity consumes ground-truth family labels and is used for evaluation only;
 it is never read by model selection. The silhouette coefficient (Rousseeuw,
-1987) is label-free and safe to use while tuning.
+1987) is label-free and safe to use while tuning. mean_silhouette scores
+any number of labelings of one point set from a single chunked pass over
+the pairwise distances, which dominates its cost.
 """
 
 from __future__ import annotations
@@ -82,44 +84,78 @@ def purity(assignments: Mapping[str, int], labels: Mapping[str, str]) -> Metrics
     return MetricsReport(purity=dominant_total / n, per_cluster=per_cluster)
 
 
-def mean_silhouette(points, labels: Sequence) -> float:
-    """Mean silhouette coefficient over all points.
+def mean_silhouette(points, labelings: Sequence[Sequence]) -> list[float]:
+    """Mean silhouette coefficient of each labeling of one point set.
 
     For a point x in cluster C: a(x) is its mean distance to the other
     members of C (divisor |C| - 1), b(x) the smallest mean distance to any
     other cluster, and s(x) = (b - a) / max(a, b). Points in singleton
-    clusters contribute s = 0, the original Rousseeuw convention. Requires
-    at least two clusters.
+    clusters contribute s = 0, the original Rousseeuw convention. Every
+    labeling needs at least two clusters; all are checked before any
+    distance is computed.
+
+    The labelings share one chunked distance pass: for each chunk of rows,
+    each labeling takes its own `dist @ onehot`, the same product on the
+    same operands as scoring it alone, so a labeling scores the same bits
+    whichever others come with it. Labelings are scored in groups whose
+    one-hot columns total at most _CHUNK (a labeling with more clusters is
+    a group of its own), so the one-hot matrices of a group take no more
+    memory than one distance chunk.
     """
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2:
         X = np.atleast_2d(X)
-    n = X.shape[0]
-    labels = list(labels)
-    if len(labels) != n:
+    encoded = [_encode_labels(labels, X.shape[0]) for labels in labelings]
+    scores: list[float] = []
+    group: list[tuple[np.ndarray, np.ndarray]] = []
+    for lab, sizes in encoded:
+        if group and sum(len(s) for _, s in group) + len(sizes) > _CHUNK:
+            scores.extend(_score_group(X, group))
+            group = []
+        group.append((lab, sizes))
+    if group:
+        scores.extend(_score_group(X, group))
+    return scores
+
+
+def _encode_labels(labels: Sequence, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster index of each point (clusters in sorted label order) and the
+    cluster sizes."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
         raise ValueError(f"{n} points but {len(labels)} labels")
-    uniq = sorted(set(labels))
+    uniq, lab = np.unique(labels, return_inverse=True)
     if len(uniq) < 2:
         raise ValueError(f"silhouette needs at least 2 clusters, got {len(uniq)}")
-    index = {c: i for i, c in enumerate(uniq)}
-    lab = np.array([index[c] for c in labels], dtype=np.intp)
-    sizes = np.bincount(lab, minlength=len(uniq)).astype(np.float64)
+    return lab, np.bincount(lab, minlength=len(uniq)).astype(np.float64)
 
-    scores = np.zeros(n, dtype=np.float64)
-    onehot = np.zeros((n, len(uniq)), dtype=np.float64)
-    onehot[np.arange(n), lab] = 1.0
+
+def _score_group(X: np.ndarray, group: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
+    n = X.shape[0]
+    onehots = []
+    for lab, sizes in group:
+        onehot = np.zeros((n, len(sizes)), dtype=np.float64)
+        onehot[np.arange(n), lab] = 1.0
+        onehots.append(onehot)
+    scores = [np.zeros(n, dtype=np.float64) for _ in group]
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         dist = cdist(X[start:stop], X)          # (m, n), self-distance is 0
-        cluster_sums = dist @ onehot            # (m, k) fixed-order reduction
-        for row, i in enumerate(range(start, stop)):
-            own = lab[i]
-            if sizes[own] <= 1:
-                continue                        # singleton: s = 0
-            a = cluster_sums[row, own] / (sizes[own] - 1.0)
-            means = cluster_sums[row] / sizes
-            means[own] = np.inf
-            b = float(means.min())
-            denom = max(a, b)
-            scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
-    return float(scores.mean())
+        for (lab, sizes), onehot, out in zip(group, onehots, scores):
+            cluster_sums = dist @ onehot        # (m, k) fixed-order reduction
+            out[start:stop] = _row_scores(cluster_sums, lab[start:stop], sizes)
+    return [float(s.mean()) for s in scores]
+
+
+def _row_scores(cluster_sums: np.ndarray, own: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """s(x) of each row from its per-cluster distance sums."""
+    rows = np.arange(len(own))
+    with np.errstate(divide="ignore", invalid="ignore"):   # masked below
+        a = cluster_sums[rows, own] / (sizes[own] - 1.0)
+        means = cluster_sums / sizes
+        means[rows, own] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        s = (b - a) / denom
+    # singleton (a = 0/0) and a = b = 0 rows score 0
+    return np.where((sizes[own] > 1) & (denom != 0.0), s, 0.0)

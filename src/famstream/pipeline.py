@@ -7,19 +7,23 @@ projects the corpus and rejects non-finite input; _routed_repeats, the one
 repeat loop, clusters the projected corpus with a batch SOM and routes each
 stream sample in chronological order (WKNN proposes a known cluster, the
 expansion rule accepts it or queues the sample for the online clusterer);
-_cluster_cell online-clusters one population and scores purity/silhouette;
-summarize aggregates grid and baseline cells. run_pipeline is a grid with
-one cell plus known-population metrics and the first repeat's artifacts;
-run_reference_baseline feeds the unrouted corpus+stream to the same cells.
+_cluster_cell runs one cell's online clusterer over one population, and
+_score_population scores every labeling of a population (purity each, and
+all silhouettes from one distance pass); _grid_cells runs a population's
+cells and then scores them together; summarize aggregates grid and baseline
+cells. run_pipeline is a grid with one cell plus known-population metrics
+and the first repeat's artifacts; run_reference_baseline feeds the unrouted
+corpus+stream to the same cells, all scored from one distance pass.
 
 Routing never reads the online state, so clustering the new route after the
 routing pass is byte-identical to interleaving them sample by sample.
 
 Seeds: repeat r of a run with master seed s uses base = s + 1000 * r; the
 corpus clustering consumes base and the online stage consumes base + 1.
-Every grid cell can therefore be reproduced in isolation with run_pipeline.
-Wall-clock timings are kept apart from metric outputs so that result files
-are byte-reproducible for a fixed master seed.
+Every grid cell can therefore be reproduced in isolation with run_pipeline:
+a labeling scores the same bits alone or beside others. Wall-clock timings
+are kept apart from metric outputs so that result files are
+byte-reproducible for a fixed master seed (and a fixed BLAS thread count).
 """
 
 from __future__ import annotations
@@ -333,29 +337,33 @@ def _family_labels(*datasets: Dataset) -> dict[str, str]:
 def _score_population(
     ids: list[str],
     points: np.ndarray,
-    cluster_ids: list[int],
+    labelings: list,
     labels: dict[str, str],
     compute_silhouette: bool,
     tag: str,
-    skipped: list[str],
-) -> tuple[float | None, float | None]:
-    """Purity and silhouette for one population, with skip bookkeeping."""
+) -> list[tuple[float | None, float | None, list[str]]]:
+    """(purity, silhouette, skip notes) of each labeling of one population;
+    all silhouettes come from one mean_silhouette call."""
     if not ids:
-        skipped.append(f"{tag}: empty population")
-        return None, None
-    pur = None
-    if all(sid in labels for sid in ids):
-        pur = purity(dict(zip(ids, cluster_ids)), labels).purity
-    else:
-        skipped.append(f"{tag}: ground-truth labels missing")
-    sil = None
-    if not compute_silhouette:
-        skipped.append(f"{tag}: silhouette disabled")
-    elif len(set(cluster_ids)) < 2:
-        skipped.append(f"{tag}: fewer than 2 clusters")
-    else:
-        sil = mean_silhouette(points, cluster_ids)
-    return pur, sil
+        return [(None, None, [f"{tag}: empty population"]) for _ in labelings]
+    has_truth = all(sid in labels for sid in ids)
+    skipped = [[] if has_truth else [f"{tag}: ground-truth labels missing"] for _ in labelings]
+    pending: list[int] = []
+    for i, cluster_ids in enumerate(labelings):
+        if not compute_silhouette:
+            skipped[i].append(f"{tag}: silhouette disabled")
+        elif len(set(cluster_ids)) < 2:
+            skipped[i].append(f"{tag}: fewer than 2 clusters")
+        else:
+            pending.append(i)
+    sils = {}
+    if pending:
+        sils = dict(zip(pending, mean_silhouette(points, [labelings[i] for i in pending])))
+    return [
+        (purity(dict(zip(ids, cluster_ids)), labels).purity if has_truth else None,
+         sils.get(i), skipped[i])
+        for i, cluster_ids in enumerate(labelings)
+    ]
 
 
 def _known_population(known: KnownClusters) -> tuple[list[str], np.ndarray, list[int]]:
@@ -371,31 +379,26 @@ def _known_population(known: KnownClusters) -> tuple[list[str], np.ndarray, list
 
 @dataclass
 class CellRun:
-    """One online clusterer over one population, scored."""
+    """The online stage of one cell: one online clusterer over one population."""
 
     state: object
     emitted: list[int]
     assigned: np.ndarray
-    purity: float | None
-    silhouette: float | None
-    skipped: list[str]
     seconds: float
 
 
 def _cluster_cell(
-    ids: list[str],
     points: np.ndarray,
     algorithm: str,
     n_clusters: int,
     base: int,
     config: PipelineConfig,
-    labels: dict[str, str],
 ) -> CellRun:
-    """Stream a population through one online clusterer seeded base + 1,
-    assign every point to its final centroid, and score the result.
+    """Stream a population through one online clusterer seeded base + 1 and
+    assign every point to its final centroid.
 
     state is None when no points arrived (except SOM, which always has its
-    initial map); seconds covers the online stage only.
+    initial map).
     """
     t0 = time.perf_counter()
     clusterer = StreamingClusterer(
@@ -414,13 +417,22 @@ def _cluster_cell(
         if state is not None and len(points)
         else np.zeros(0, dtype=np.intp)
     )
-    seconds = time.perf_counter() - t0
-    skipped: list[str] = []
-    pur, sil = _score_population(
-        ids, points, [int(c) for c in assigned], labels, config.compute_silhouette, "new",
-        skipped,
-    )
-    return CellRun(state, list(clusterer.emitted), assigned, pur, sil, skipped, seconds)
+    return CellRun(state, list(clusterer.emitted), assigned, time.perf_counter() - t0)
+
+
+def check_data_shape(config: PipelineConfig, corpus: Dataset) -> None:
+    """Reject a config the loaded corpus cannot support: an empty corpus,
+    more PCA features than min(dimension, corpus size), or a WKNN k above
+    the corpus size (the reference set the first sample is classified on)."""
+    n = len(corpus)
+    if n == 0:
+        raise ValueError("corpus is empty")
+    if config.n_features > min(corpus.dim, n):
+        raise ValueError(
+            f"n_features={config.n_features} exceeds min(dim={corpus.dim}, corpus size={n})"
+        )
+    if config.wknn.k > n:
+        raise ValueError(f"wknn k={config.wknn.k} exceeds corpus size {n}")
 
 
 def _prepare(
@@ -429,8 +441,7 @@ def _prepare(
     """Validate and load the inputs, then fit the projection once per call."""
     config.validate(require_paths=data is None)
     corpus, stream = data if data is not None else load_inputs(config)
-    if len(corpus) == 0:
-        raise ValueError("corpus is empty")
+    check_data_shape(config, corpus)
     labels = _family_labels(corpus, stream)
     return corpus, stream, labels, fit_projection(corpus, stream, config.n_features)
 
@@ -461,15 +472,18 @@ def run_pipeline(config: PipelineConfig, data: tuple[Dataset, Dataset] | None = 
     first_models: dict = {}
     for r, base, routing, started in _routed_repeats(corpus, stream, proj, config):
         cell = _cluster_cell(
-            routing.new_ids, routing.new_points, config.online_algorithm,
-            config.online_clusters, base, config, labels,
+            routing.new_points, config.online_algorithm, config.online_clusters, base, config
         )
-        skipped = cell.skipped
+        ((pur_new, sil_new, skipped),) = _score_population(
+            routing.new_ids, routing.new_points, [cell.assigned], labels,
+            config.compute_silhouette, "new",
+        )
         if config.compute_known_metrics:
             k_ids, k_points, k_clusters = _known_population(routing.known)
-            pur_known, sil_known = _score_population(
-                k_ids, k_points, k_clusters, labels, config.compute_silhouette, "known", skipped
+            ((pur_known, sil_known, known_skipped),) = _score_population(
+                k_ids, k_points, [k_clusters], labels, config.compute_silhouette, "known"
             )
+            skipped += known_skipped
         else:
             pur_known = sil_known = None
             skipped.append("known: metrics disabled")
@@ -482,8 +496,8 @@ def run_pipeline(config: PipelineConfig, data: tuple[Dataset, Dataset] | None = 
                 known_count=routing.stream_size - len(routing.new_ids),
                 new_count=len(routing.new_ids),
                 new_route_fraction=routing.new_fraction,
-                purity_new=cell.purity,
-                silhouette_new=cell.silhouette,
+                purity_new=pur_new,
+                silhouette_new=sil_new,
                 purity_known=pur_known,
                 silhouette_known=sil_known,
                 online_clusters_used=len(set(int(c) for c in cell.assigned)),
@@ -539,6 +553,7 @@ class GridCell:
     purity: float | None
     silhouette: float | None
     online_seconds: float
+    error: str | None = None            # why the cell failed; not written to result files
 
 
 @dataclass(frozen=True)
@@ -572,24 +587,43 @@ def grid_axes(cluster_counts, algorithms) -> tuple[list[int], list[str]]:
     return counts, algos
 
 
-def _grid_cell(
+def _grid_cells(
     ids: list[str],
     points: np.ndarray,
-    algorithm: str,
-    n_clusters: int,
-    repeat: int,
-    base: int,
+    axes: list[tuple[str, int, int, int]],
     config: PipelineConfig,
     labels: dict[str, str],
-) -> GridCell:
-    """One grid or baseline cell. A ValueError from the online stage or the
-    metrics leaves the cell with empty metrics and zero seconds."""
+) -> list[GridCell]:
+    """Grid or baseline cells over one population, one per (algorithm,
+    count, repeat, base seed) in `axes` order: every online stage first, then
+    one scoring step for them all.
+
+    A ValueError from a cell's online stage leaves that cell with empty
+    metrics and zero seconds; one from the shared scoring does so for every
+    cell. The cell keeps the error message.
+    """
+    runs: list[tuple[np.ndarray, float] | str] = []   # (assignments, seconds) or error
+    for algo, count, _, base in axes:
+        try:
+            run = _cluster_cell(points, algo, count, base, config)
+            runs.append((run.assigned, run.seconds))
+        except ValueError as exc:
+            runs.append(str(exc))
     try:
-        cell = _cluster_cell(ids, points, algorithm, n_clusters, base, config, labels)
-        pur, sil, seconds = cell.purity, cell.silhouette, cell.seconds
-    except ValueError:
-        pur, sil, seconds = None, None, 0.0
-    return GridCell(algorithm, n_clusters, repeat, base, len(ids), pur, sil, seconds)
+        scores = iter(_score_population(
+            ids, points, [run[0] for run in runs if not isinstance(run, str)], labels,
+            config.compute_silhouette, "new",
+        ))
+    except ValueError as exc:
+        runs = [run if isinstance(run, str) else str(exc) for run in runs]
+    cells: list[GridCell] = []
+    for (algo, count, repeat, base), run in zip(axes, runs):
+        if isinstance(run, str):
+            cells.append(GridCell(algo, count, repeat, base, len(ids), None, None, 0.0, run))
+        else:
+            pur, sil, _ = next(scores)
+            cells.append(GridCell(algo, count, repeat, base, len(ids), pur, sil, run[1]))
+    return cells
 
 
 def summarize(cells: list[GridCell], counts: list[int], algos: list[str]) -> list[GridSummaryRow]:
@@ -625,17 +659,16 @@ def run_grid(
     Routing does not depend on the online algorithm, so each repeat routes
     once and every grid cell consumes the same new-route population; the
     grid isolates online-clusterer variance. Cells are ordered by (repeat,
-    algorithm, count). Cell failures are recorded as empty metrics and do
-    not stop the grid.
+    algorithm, count). A repeat's cells are scored from one silhouette pass
+    over its new-route points. Cell failures are recorded as empty metrics
+    with their error message and do not stop the grid.
     """
     counts, algos = grid_axes(cluster_counts, algorithms)
     corpus, stream, labels, proj = _prepare(config, data)
-    cells = [
-        _grid_cell(routing.new_ids, routing.new_points, algo, count, r, base, config, labels)
-        for r, base, routing, _ in _routed_repeats(corpus, stream, proj, config)
-        for algo in algos
-        for count in counts
-    ]
+    cells: list[GridCell] = []
+    for r, base, routing, _ in _routed_repeats(corpus, stream, proj, config):
+        axes = [(algo, count, r, base) for algo in algos for count in counts]
+        cells += _grid_cells(routing.new_ids, routing.new_points, axes, config, labels)
     return GridResult(cells=cells, summary=summarize(cells, counts, algos))
 
 
@@ -651,9 +684,9 @@ def run_reference_baseline(
     the WKNN classifier and the routing rule are bypassed, so the corpus
     points and then the chronological stream feed every (algorithm, cluster
     count) cell directly, for config.repeats repeats each. Metrics cover the
-    whole population. Cells are ordered by (algorithm, count, repeat) and
-    follow the grid's failure policy: a cell whose online stage or metrics
-    raise ValueError gets empty metrics, and the sweep goes on.
+    whole population, and every cell is scored from one silhouette pass over
+    it. Cells are ordered by (algorithm, count, repeat) and follow the
+    grid's failure policy (_grid_cells), and the sweep goes on.
     """
     counts, algos = grid_axes(cluster_counts, algorithms)
     corpus, stream, labels, proj = _prepare(config, data)
@@ -665,10 +698,11 @@ def run_reference_baseline(
     # same bytes as projecting vstack(corpus, stream) in one product.
     stream_z = transform_pca(proj.pca, apply_scaler(proj.scaler, stream.matrix()))
     points = np.vstack([proj.corpus_z, stream_z])
-    cells = [
-        _grid_cell(ids, points, algo, count, r, repeat_seed(config.seed, r), config, labels)
+    axes = [
+        (algo, count, r, repeat_seed(config.seed, r))
         for algo in algos
         for count in counts
         for r in range(config.repeats)
     ]
+    cells = _grid_cells(ids, points, axes, config, labels)
     return GridResult(cells=cells, summary=summarize(cells, counts, algos))

@@ -157,7 +157,8 @@ def select_feature_count(
     """Pick the PCA feature count maximizing mean silhouette.
 
     For every candidate count, fits PCA on the scaled corpus, runs each
-    clusterer spec on the projected points, and records the mean silhouette.
+    clusterer spec on the projected points, and records the mean silhouette;
+    the specs' labelings at one count are scored from one distance pass.
     Failed cells (a clusterer error, or fewer than two clusters) are stored
     with a None silhouette and skipped in the argmax. Purity is deliberately
     never consulted here; selection must work without labels.
@@ -184,16 +185,19 @@ def select_feature_count(
     for count in counts:
         model = fit_pca(X, count)
         Z = transform_pca(model, X)
-        for spec in specs:
+        labelings: dict[int, list[int]] = {}
+        for i, spec in enumerate(specs):
             try:
-                known = run_batch_clusterer(spec, Z, seed=seed)
-                labels = _labels_from_clusters(known, X.shape[0])
-                score = mean_silhouette(Z, labels)
+                labels = _labels_from_clusters(run_batch_clusterer(spec, Z, seed=seed), X.shape[0])
             except ValueError:
-                table.append(FeatureSelectionCell(count, spec.name, None))
                 continue
+            if len(set(labels)) >= 2:           # the silhouette needs two clusters
+                labelings[i] = labels
+        scores = dict(zip(labelings, mean_silhouette(Z, list(labelings.values()))))
+        for i, spec in enumerate(specs):
+            score = scores.get(i)
             table.append(FeatureSelectionCell(count, spec.name, score))
-            if score > best_score:
+            if score is not None and score > best_score:
                 best_score = score
                 best = (count, spec.name)
     if best is None:

@@ -47,7 +47,7 @@ def test_criterion_1_metric_oracles():
         points = rng.normal(size=(n, d)) * rng.uniform(0.5, 4.0)
         labels = [int(c) for c in rng.integers(0, k, size=n)]
         labels[:k] = list(range(k))  # ensure every cluster non-empty
-        diff = abs(mean_silhouette(points, labels) - naive_silhouette(points, labels))
+        diff = abs(mean_silhouette(points, [labels])[0] - naive_silhouette(points, labels))
         worst = max(worst, diff)
     assert worst <= 1e-9
 

@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from famstream.batch import Cluster, KnownClusters, dbscan, kmeans_batch, som_batch
+from famstream.points import exact_dists
 
 from conftest import blobs
 
@@ -196,6 +199,41 @@ def test_cluster_add_member_running_mean():
         c.add_member(np.array([float(i % 5), 1.0]), f"m{i}")
     np.testing.assert_allclose(c.centroid, c.member_points.mean(axis=0), atol=1e-9)
     assert c.count == 52 and len(c.member_ids) == 52
+
+
+@st.composite
+def member_sequences(draw):
+    dim = draw(st.integers(1, 4))
+    coord = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    rows = st.lists(coord, min_size=dim, max_size=dim)
+    initial = draw(st.lists(rows, min_size=1, max_size=5))
+    joins = draw(st.lists(st.tuples(rows, st.booleans()), max_size=40))
+    return np.array(initial), [(np.array(x), peek) for x, peek in joins]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=member_sequences(), update=st.booleans())
+def test_cluster_centroid_tracks_member_mean(case, update):
+    initial, joins = case
+    cluster = Cluster(0, initial, [f"i{i}" for i in range(len(initial))])
+    start = initial.mean(axis=0)
+    for i, (x, peek) in enumerate(joins):
+        if peek:
+            cluster.centroid_dists()  # fill the cache so the join must drop it
+        cluster.add_member(x, f"j{i}", update_centroid=update)
+        assert np.array_equal(
+            cluster.centroid_dists(), exact_dists(cluster.member_points, cluster.centroid)
+        )
+    if not update:
+        assert np.array_equal(cluster.centroid, start)
+        return
+    # Each running-mean step c + (x - c) / k rounds three times, adding at most
+    # 2.5 eps M to the error (M = largest |coordinate|) while shrinking the
+    # error it inherits; np.mean of the initial and of all members rounds
+    # by at most n eps M / 2 each. 4 N eps M covers the sum for N members.
+    points = cluster.member_points
+    bound = 4 * len(points) * np.finfo(float).eps * np.abs(points).max()
+    assert np.all(np.abs(cluster.centroid - points.mean(axis=0)) <= bound)
 
 
 def test_known_clusters_serialization():

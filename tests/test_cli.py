@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from famstream import cli, pipeline
 from famstream.cli import main, parse_float_list, parse_int_list, UsageError
 from famstream.data import save_dataset
 from famstream.synthetic import make_corpus_and_stream, make_family_dataset
@@ -162,8 +163,52 @@ def test_data_errors_exit_2(tmp_path):
     assert main(["run", "--data", str(bad), "--cutoff", "2018-01"]) == 2
 
 
-def test_runtime_errors_exit_3(tmp_path, data_files):
-    # n_features larger than the data dimension surfaces inside the pipeline
+def test_runtime_errors_exit_3(tmp_path, data_files, monkeypatch, capsys):
+    def failing_run(config, data=None):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_pipeline", failing_run)
     code = main(["run", "--data", str(data_files["combined"]), "--cutoff", "2018-11",
-                 "--n-features", "9999", "-o", str(tmp_path / "x")])
+                 *BASE, "-o", str(tmp_path / "x")])
     assert code == 3
+    assert "error: RuntimeError: boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["run", "sweep-tau"])
+def test_data_shape_config_errors_exit_1(tmp_path, data_files, capsys, cmd):
+    # the combined fixture splits into a 240-row corpus in 20 dimensions
+    for flags, message in (
+        (["--n-features", "21"], "n_features=21 exceeds min(dim=20, corpus size=240)"),
+        (["--n-features", "500"], "n_features=500 exceeds min(dim=20, corpus size=240)"),
+        (["--wknn-k", "241"], "wknn k=241 exceeds corpus size 240"),
+    ):
+        out = tmp_path / f"{cmd}-{flags[1]}"
+        args = [cmd, "--data", str(data_files["combined"]), "--cutoff", "2018-11",
+                *BASE, *flags, "-o", str(out)]
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    assert main([cmd, "--data", str(data_files["combined"]), "--cutoff", "2018-11",
+                 *BASE, "--n-features", "20", "--wknn-k", "240",
+                 "-o", str(tmp_path / f"{cmd}-edge")]) == 0
+
+
+def test_failed_cells_reported_on_stderr(tmp_path, data_files, monkeypatch, capsys):
+    real = pipeline._cluster_cell
+
+    def failing_bsas(points, algorithm, n_clusters, base, config):
+        if algorithm == "bsas":
+            raise ValueError("bsas went wrong")
+        return real(points, algorithm, n_clusters, base, config)
+
+    monkeypatch.setattr(pipeline, "_cluster_cell", failing_bsas)
+    for cmd in ("grid", "baseline"):
+        out = tmp_path / cmd
+        assert main([cmd, "--data", str(data_files["combined"]), "--cutoff", "2018-11",
+                     *BASE, "--cluster-counts", "3,4", "--algorithms", "okm,bsas",
+                     "-o", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["cell bsas k=3 repeat 0 failed: bsas went wrong",
+                       "cell bsas k=4 repeat 0 failed: bsas went wrong"]
+        results = (out / f"{cmd}_results.csv").read_text()
+        assert "went wrong" not in results

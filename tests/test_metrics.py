@@ -1,8 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from famstream import metrics
 from famstream.metrics import mean_silhouette, purity
 
 
@@ -92,7 +97,7 @@ def test_purity_weighted_recombination():
 def test_silhouette_two_pair_example():
     points = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
     labels = [0, 0, 1, 1]
-    got = mean_silhouette(points, labels)
+    got = mean_silhouette(points, [labels])[0]
     b = (10.0 + math.sqrt(101.0)) / 2.0
     expected = (b - 1.0) / b  # same s for all four points by symmetry
     assert abs(got - expected) <= 1e-12
@@ -103,19 +108,19 @@ def test_silhouette_interleaved_identical_points_negative():
     points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     labels = [0, 0, 1, 1]
     # each point's nearest foreign cluster contains its own duplicate
-    assert mean_silhouette(points, labels) < 0
+    assert mean_silhouette(points, [labels])[0] < 0
 
 
 def test_silhouette_duplicated_members_far_clusters():
     points = np.array([[0.0, 0.0], [0.0, 0.0], [9.0, 9.0], [9.0, 9.0]])
     labels = [0, 0, 1, 1]
-    assert mean_silhouette(points, labels) == 1.0  # a = 0, b > 0
+    assert mean_silhouette(points, [labels])[0] == 1.0  # a = 0, b > 0
 
 
 def test_silhouette_singleton_contributes_zero():
     points = np.array([[0.0, 0.0], [5.0, 0.0], [5.0, 1.0]])
     labels = [0, 1, 1]
-    got = mean_silhouette(points, labels)
+    got = mean_silhouette(points, [labels])[0]
     # hand: singleton s=0; for (5,0): a=1, b=5 -> 0.8; for (5,1): a=1, b=sqrt(26) -> (sqrt(26)-1)/sqrt(26)
     s3 = (math.sqrt(26.0) - 1.0) / math.sqrt(26.0)
     expected = (0.0 + 0.8 + s3) / 3.0
@@ -124,7 +129,7 @@ def test_silhouette_singleton_contributes_zero():
 
 def test_silhouette_requires_two_clusters():
     with pytest.raises(ValueError):
-        mean_silhouette(np.zeros((3, 2)), [0, 0, 0])
+        mean_silhouette(np.zeros((3, 2)), [[0, 0, 0]])
 
 
 def test_silhouette_matches_naive_oracle():
@@ -137,7 +142,7 @@ def test_silhouette_matches_naive_oracle():
         labels = [int(rng.integers(0, k)) for _ in range(n)]
         if len(set(labels)) < 2:
             labels[0], labels[1] = 0, 1
-        got = mean_silhouette(points, labels)
+        got = mean_silhouette(points, [labels])[0]
         want = naive_silhouette(points, labels)
         assert abs(got - want) <= 1e-9, f"trial {trial}"
 
@@ -147,7 +152,86 @@ def test_silhouette_isometry_invariance():
     points = rng.normal(size=(80, 4))
     labels = [int(rng.integers(0, 3)) for _ in range(80)]
     labels[:3] = [0, 1, 2]
-    base = mean_silhouette(points, labels)
+    base = mean_silhouette(points, [labels])[0]
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     moved = points @ q + rng.normal(size=4)
-    assert abs(mean_silhouette(moved, labels) - base) <= 1e-9
+    assert abs(mean_silhouette(moved, [labels])[0] - base) <= 1e-9
+
+
+LABEL_IDS = [-7, -1, 0, 3, 10, 1000]   # negative and non-contiguous cluster ids
+
+
+def expected_groups(labelings, chunk):
+    """Groups of consecutive labelings whose cluster counts total at most chunk."""
+    groups, width = 0, 0
+    for labels in labelings:
+        k = len(set(labels))
+        if groups == 0 or width + k > chunk:
+            groups, width = groups + 1, 0
+        width += k
+    return groups
+
+
+@st.composite
+def shared_pass_cases(draw):
+    chunk = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 4 * chunk + 1))   # below, at and above multiples of chunk
+    d = draw(st.integers(1, 3))
+    coord = st.one_of(
+        st.integers(-2, 2).map(float),       # lattice: duplicate points, a = b = 0
+        st.floats(-10, 10, allow_nan=False, allow_subnormal=False),
+    )
+    points = np.array(draw(st.lists(coord, min_size=n * d, max_size=n * d))).reshape(n, d)
+    labeling = st.lists(st.sampled_from(LABEL_IDS), min_size=n, max_size=n).filter(
+        lambda labels: len(set(labels)) >= 2
+    )
+    labelings = draw(st.lists(labeling, min_size=1, max_size=6))
+    return chunk, points, labelings
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=shared_pass_cases())
+def test_shared_pass_equals_each_alone_and_oracle(case):
+    chunk, points, labelings = case
+    with mock.patch.object(metrics, "_CHUNK", chunk), \
+            mock.patch.object(metrics, "cdist", wraps=cdist) as spy:
+        together = mean_silhouette(points, labelings)
+        assert spy.call_count == expected_groups(labelings, chunk) * math.ceil(len(points) / chunk)
+        alone = [mean_silhouette(points, [labels])[0] for labels in labelings]
+    assert together == alone
+    for got, labels in zip(together, labelings):
+        assert abs(got - naive_silhouette(points, labels)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 513])
+def test_shared_pass_at_chunk_boundaries(n):
+    rng = np.random.default_rng(n)
+    points = rng.normal(size=(n, 3))
+    points[1] = points[0]
+    # 36 x 7 clusters fill one group of 252 columns; the labeling with
+    # min(n, 300) clusters, near or above _CHUNK, is a group of its own; the
+    # last four share a third.
+    labelings = [rng.integers(0, 7, size=n) for _ in range(36)]
+    labelings.append(np.arange(n) % 300)
+    labelings += [rng.integers(-5, 2, size=n) * 3 for _ in range(4)]
+    with mock.patch.object(metrics, "cdist", wraps=cdist) as spy:
+        together = mean_silhouette(points, labelings)
+    assert spy.call_count == 3 * math.ceil(n / metrics._CHUNK)
+    assert together == [mean_silhouette(points, [labels])[0] for labels in labelings]
+    for i in (0, 36, 40):
+        assert abs(together[i] - naive_silhouette(points, labelings[i])) <= 1e-12
+
+
+def test_labelings_validated_before_the_pass():
+    points = np.arange(12.0).reshape(6, 2)
+    good = [0, 0, 1, 1, 2, 2]
+    # three clusters fill a group at _CHUNK = 3, so the bad labeling comes
+    # after a complete group
+    with mock.patch.object(metrics, "_CHUNK", 3), \
+            mock.patch.object(metrics, "cdist", wraps=cdist) as spy:
+        with pytest.raises(ValueError, match="at least 2 clusters"):
+            mean_silhouette(points, [good, good, [4] * 6])
+        with pytest.raises(ValueError, match="6 points but 5 labels"):
+            mean_silhouette(points, [good, good, good[:5]])
+    assert spy.call_count == 0
+    assert mean_silhouette(points, []) == []

@@ -338,6 +338,27 @@ def test_baseline_cells_follow_grid_failure_policy(small_data, monkeypatch):
     baseline = run_reference_baseline(cfg, [4], ["okm", "bsas"], data=(corpus, stream))
     assert [(c.algorithm, c.purity, c.silhouette, c.online_seconds) for c in baseline.cells] \
         == [("okm", None, None, 0.0), ("bsas", None, None, 0.0)]
+    assert [c.error for c in baseline.cells] == ["silhouette failed"] * 2
     assert all(row.purity_mean is None for row in baseline.summary)
     with pytest.raises(ValueError, match="silhouette failed"):
         run_pipeline(cfg, data=(corpus, stream))  # a run raises instead
+
+
+def test_one_silhouette_call_per_scored_population(small_data, monkeypatch):
+    calls = []
+    real = pipeline.mean_silhouette
+
+    def spy(points, labelings):
+        calls.append((len(points), len(labelings)))
+        return real(points, labelings)
+
+    monkeypatch.setattr(pipeline, "mean_silhouette", spy)
+    corpus, stream = small_data
+    cfg = small_config(repeats=2)
+    grid = run_grid(cfg, [3, 4], ["okm", "bsas"], data=small_data)
+    assert calls == [(grid.cells[0].n_new, 4), (grid.cells[4].n_new, 4)]
+    assert all(c.silhouette is not None and c.error is None for c in grid.cells)
+    calls.clear()
+    baseline = run_reference_baseline(cfg, [3, 4], ["okm", "bsas"], data=small_data)
+    assert calls == [(len(corpus) + len(stream), 8)]
+    assert all(c.silhouette is not None for c in baseline.cells)
