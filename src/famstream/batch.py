@@ -276,8 +276,8 @@ def som_batch(
         lambda_sigma=float(horizon),
     )
     for _ in range(epochs):
-        for i in rng.permutation(X.shape[0]):
-            som_update(state, X[i])
+        for x in X[rng.permutation(X.shape[0])]:
+            som_update(state, x)
     labels = final_assign(state, X)
     return _clusters_from_labels(X, labels, ids)
 

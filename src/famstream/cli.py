@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -93,6 +94,8 @@ def parse_float_list(text: str) -> list[float]:
         raise UsageError(f"bad float list {text!r}") from None
     if not values:
         raise UsageError(f"empty float list {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"non-finite value in float list {text!r}")
     return values
 
 

@@ -4,17 +4,22 @@ Feature vectors are plain 1-D float64 numpy arrays, validated once at the
 boundary (finite entries, uniform dimension) and treated as immutable
 afterwards. Datasets come in two interchange formats: CSV with header
 ``id,family,first_seen,f0,...,f{d-1}`` and JSONL with one object per line.
+A CSV file is read in two streamed passes: one over its lines for the ids,
+dates and field counts, and one `np.loadtxt` over its feature columns.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -168,26 +173,28 @@ def _infer_format(path: str | Path, fmt: str | None) -> str:
 
 
 def _parse_feature(raw: str | float, line: int, column: str) -> float:
+    # A text cell must be what np.loadtxt reads: after stripping whitespace, an
+    # ASCII float literal. float() alone would also take "1_0" and non-ASCII
+    # digits, so the JSONL and CSV loaders would accept different files.
     try:
+        if isinstance(raw, str) and ("_" in raw or not raw.strip().isascii()):
+            raise ValueError(raw)
         value = float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DataFormatError(f"column {column!r}: not a number: {raw!r}", line) from None
     if not math.isfinite(value):
         raise DataFormatError(f"column {column!r}: non-finite value {raw!r}", line)
     return value
 
 
-def _build_sample(sid, family, first_seen, values, line: int) -> Sample:
-    if not sid:
+def _check_id_and_date(sid, first_seen, line: int) -> None:
+    if sid is None or sid == "":
         raise DataFormatError("empty sample id", line)
     if first_seen is not None:
         try:
             parse_year_month(first_seen)
         except ValueError as exc:
             raise DataFormatError(str(exc), line) from None
-    features = np.array(values, dtype=np.float64)
-    features.setflags(write=False)
-    return Sample(id=str(sid), features=features, family=family, first_seen=first_seen)
 
 
 def load_dataset(path: str | Path, fmt: str | None = None) -> Dataset:
@@ -197,7 +204,7 @@ def load_dataset(path: str | Path, fmt: str | None = None) -> Dataset:
     mean an absent family or date. JSONL lines are objects with keys ``id``,
     ``family``, ``first_seen``, ``features``. Raises DataFormatError with the
     offending line number on malformed rows, inconsistent dimensions, or
-    non-finite feature values.
+    non-finite feature values; the first error in file order wins.
     """
     path = Path(path)
     fmt = _infer_format(path, fmt)
@@ -205,37 +212,112 @@ def load_dataset(path: str | Path, fmt: str | None = None) -> Dataset:
     return Dataset.from_samples(samples)
 
 
+def _check_header(header: list[str]) -> None:
+    if tuple(header[:3]) != _RESERVED_COLUMNS:
+        raise DataFormatError(
+            f"header must start with {','.join(_RESERVED_COLUMNS)}, got {header[:3]}", 1
+        )
+    feature_cols = header[3:]
+    if not feature_cols:
+        raise DataFormatError("header declares no feature columns", 1)
+    expected = [f"f{i}" for i in range(len(feature_cols))]
+    if feature_cols != expected:
+        raise DataFormatError(
+            f"feature columns must be f0..f{len(feature_cols) - 1}, got {feature_cols}", 1
+        )
+
+
+def _records(fh):
+    """Yield (field count, first three fields) per record; (0, []) for a blank line.
+
+    A line without a quote splits on commas, as csv.reader would split it; a
+    line with one goes through csv.reader, which may read on into later
+    lines for a quoted line break.
+    """
+    for raw in fh:
+        if '"' in raw:
+            row = next(csv.reader(itertools.chain([raw], fh)))
+            yield len(row), row[:3]
+        else:
+            text = raw.rstrip("\r\n")
+            yield (text.count(",") + 1, text.split(",", 3)[:3]) if text else (0, [])
+
+
 def _load_csv(path: Path) -> list[Sample]:
-    samples: list[Sample] = []
+    # Pass 1 stops at the first row whose field count, id or date is wrong.
+    # Pass 2 parses the features of the rows before it (and of that row, when
+    # its field count is right), so that a bad number earlier in the file, or
+    # in the row itself, is reported first, as a row-by-row parse would.
+    meta: list[tuple[str, str | None, str | None]] = []
+    pending: DataFormatError | None = None
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DataFormatError("empty file", 1) from None
-        if tuple(header[:3]) != _RESERVED_COLUMNS:
-            raise DataFormatError(
-                f"header must start with {','.join(_RESERVED_COLUMNS)}, got {header[:3]}", 1
-            )
-        feature_cols = header[3:]
-        if not feature_cols:
-            raise DataFormatError("header declares no feature columns", 1)
-        expected = [f"f{i}" for i in range(len(feature_cols))]
-        if feature_cols != expected:
-            raise DataFormatError(
-                f"feature columns must be f0..f{len(feature_cols) - 1}, got {feature_cols}", 1
-            )
-        for line, row in enumerate(reader, start=2):
-            if not row:
+        _check_header(header)
+        for line, (n_fields, head) in enumerate(_records(fh), start=2):
+            if not n_fields:
                 continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"expected {len(header)} fields, got {len(row)}", line
+            if n_fields != len(header):
+                pending = DataFormatError(
+                    f"expected {len(header)} fields, got {n_fields}", line
                 )
-            sid, family, first_seen = row[0], row[1] or None, row[2] or None
-            values = [_parse_feature(raw, line, col) for raw, col in zip(row[3:], feature_cols)]
-            samples.append(_build_sample(sid, family, first_seen, values, line))
-    return samples
+                break
+            sid, family, first_seen = head[0], head[1] or None, head[2] or None
+            meta.append((sid, family, first_seen))
+            try:
+                _check_id_and_date(sid, first_seen, line)
+            except DataFormatError as exc:
+                pending = exc
+                break
+    features = _read_features(path, header, len(meta)) if meta else []
+    if pending is not None:
+        raise pending
+    return [
+        Sample(id=sid, features=row, family=family, first_seen=first_seen)
+        for (sid, family, first_seen), row in zip(meta, features)
+    ]
+
+
+def _read_features(path: Path, header: list[str], n_rows: int) -> np.ndarray:
+    """Parse the feature columns of the first n_rows records into one read-only matrix."""
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns that blank lines do not count toward max_rows (as
+            # intended: n_rows counts records) and that an emptied pipe holds
+            # no data (caught just below).
+            warnings.simplefilter("ignore", UserWarning)
+            matrix = np.loadtxt(
+                path, dtype=np.float64, delimiter=",", quotechar='"', comments=None,
+                skiprows=1, usecols=range(3, len(header)), max_rows=n_rows, ndmin=2,
+                encoding="utf-8",
+            )
+    except ValueError as exc:
+        _raise_bad_cell(path, header, n_rows, exc)
+    if matrix.shape[0] != n_rows:  # e.g. a pipe, which the first pass emptied
+        raise DataFormatError(
+            f"feature columns: read {matrix.shape[0]} of {n_rows} rows; "
+            "CSV input must be a file that can be read twice"
+        )
+    if not np.isfinite(matrix).all():
+        _raise_bad_cell(path, header, n_rows, "non-finite value")
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _raise_bad_cell(path: Path, header: list[str], n_rows: int, cause) -> NoReturn:
+    """Name the first feature cell, in file order, that the matrix parse rejected."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        records = ((line, row) for line, row in enumerate(reader, start=2) if row)
+        for line, row in itertools.islice(records, n_rows):
+            for raw, column in zip(row[3:], header[3:]):
+                _parse_feature(raw, line, column)
+    # Reached only if np.loadtxt split a record differently from csv.reader;
+    # no such record is known, but the error must still be a DataFormatError.
+    raise DataFormatError(f"feature columns: {cause}")
 
 
 def _load_jsonl(path: Path) -> list[Sample]:
@@ -262,11 +344,13 @@ def _load_jsonl(path: Path) -> list[Sample]:
                 raise DataFormatError(
                     f"inconsistent dimension: expected {dim}, got {len(values)}", line
                 )
+            sid, first_seen = obj["id"], obj.get("first_seen") or None
+            _check_id_and_date(sid, first_seen, line)
+            features = np.array(values, dtype=np.float64)
+            features.setflags(write=False)
             samples.append(
-                _build_sample(
-                    obj["id"], obj.get("family") or None, obj.get("first_seen") or None,
-                    values, line,
-                )
+                Sample(id=str(sid), features=features, family=obj.get("family") or None,
+                       first_seen=first_seen)
             )
     return samples
 
@@ -313,9 +397,10 @@ def split_by_time(data: Dataset, cutoff: str) -> tuple[Dataset, Dataset]:
         shown = missing[:10]
         suffix = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
         raise ValueError(f"samples missing first_seen: {shown}{suffix}")
-    corpus = [s for s in data.samples if parse_year_month(s.first_seen) < cut]
-    stream = [s for s in data.samples if parse_year_month(s.first_seen) >= cut]
-    stream.sort(key=lambda s: parse_year_month(s.first_seen))  # stable: ties keep input order
+    dated = [(parse_year_month(s.first_seen), s) for s in data.samples]
+    corpus = [s for month, s in dated if month < cut]
+    later = sorted((p for p in dated if p[0] >= cut), key=lambda p: p[0])  # stable
+    stream = [s for _, s in later]
     return (
         Dataset.from_samples(corpus, dim=data.dim),
         Dataset.from_samples(stream, dim=data.dim),

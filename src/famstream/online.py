@@ -116,6 +116,12 @@ class SOMState:
     grid_positions: np.ndarray   # (n,)
     counts: np.ndarray           # per-unit win counters
     alpha_mode: str = "exponential"
+    # -|c - i|^2 for every pair of units, row c for winner c; derived, not saved.
+    neg_sq_lattice: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        d_grid = np.abs(self.grid_positions[:, None] - self.grid_positions[None, :])
+        self.neg_sq_lattice = -(d_grid ** 2)
 
     @property
     def n_units(self) -> int:
@@ -212,19 +218,20 @@ def som_update(state: SOMState, x) -> int:
     x = np.asarray(x, dtype=np.float64)
     check_dim(state.weights.shape[1], x.shape[-1], "som_update")
     diff = state.weights - x
-    c = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+    c = int(np.einsum("ij,ij->i", diff, diff).argmin())
     state.counts[c] += 1
     if state.alpha_mode == "win_count":
         a = 1.0 / state.counts[c]
     else:
         a = state.alpha()
     s = state.sigma()
+    # diff = w - x, so subtracting alpha * h * diff is, bit for bit, adding
+    # alpha * h * (x - w): IEEE subtraction and products are sign-symmetric.
     if s == 0.0:
-        state.weights[c] += a * (x - state.weights[c])
+        state.weights[c] -= a * diff[c]
     else:
-        d_grid = np.abs(state.grid_positions - state.grid_positions[c])
-        h = np.exp(-(d_grid ** 2) / (2.0 * s * s))
-        state.weights += (a * h)[:, None] * (x - state.weights)
+        h = np.exp(state.neg_sq_lattice[c] / (2.0 * s * s))
+        state.weights -= (a * h)[:, None] * diff
     state.t += 1
     return c
 

@@ -28,6 +28,7 @@ byte-reproducible for a fixed master seed (and a fixed BLAS thread count).
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
@@ -77,8 +78,8 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.corpus_epochs < 0:
             raise ValueError("corpus_epochs must be >= 0")
-        if self.bsas_theta is not None and self.bsas_theta <= 0:
-            raise ValueError("bsas_theta must be positive")
+        if self.bsas_theta is not None and not 0 < self.bsas_theta < math.inf:
+            raise ValueError(f"bsas_theta must be finite and positive, got {self.bsas_theta}")
         if require_paths:
             has_pair = self.corpus_path is not None and self.stream_path is not None
             has_split = self.data_path is not None and self.cutoff is not None

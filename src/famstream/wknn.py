@@ -110,13 +110,13 @@ class ReferenceSet:
 
 def classify(
     ref: ReferenceSet, params: WKNNParams, x
-) -> tuple[int, list[tuple[np.ndarray, float]]]:
+) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
     """Classify x by the majority weighted vote of its k nearest neighbors.
 
     Distance ties keep insertion order. A weighted-vote tie goes to the
     label of the nearest neighbor carrying one of the tied labels. Returns
-    the winning cluster id and the k neighbors as (point, distance) pairs
-    in ascending distance order.
+    the winning cluster id and the k neighbors as (rows of ref.points,
+    distances), both in ascending distance order.
     """
     if len(ref) < params.k:
         raise ValueError(f"k={params.k} exceeds reference set size {len(ref)}")
@@ -151,5 +151,4 @@ def classify(
         winner = tied.pop()
     else:
         winner = next(labels[int(idx)] for idx in order if labels[int(idx)] in tied)
-    neighbors = [(ref.points[int(idx)].copy(), float(dist)) for idx, dist in zip(order, d)]
-    return winner, neighbors
+    return winner, (order, d)

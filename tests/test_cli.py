@@ -155,6 +155,25 @@ def test_usage_errors_exit_1(tmp_path, data_files):
                  "--wknn-weighting", "cosine"]) == 1
 
 
+def test_non_finite_numbers_are_usage_errors(tmp_path, data_files, capsys):
+    data = ["--data", str(data_files["combined"]), "--cutoff", "2018-11", *BASE]
+    for taus in ("nan", "inf,0", "0,-inf"):
+        out = tmp_path / f"tau-{taus}"
+        assert main(["sweep-tau", *data, f"--taus={taus}", "-o", str(out)]) == 1
+        assert "non-finite value in float list" in capsys.readouterr().err
+        assert not out.exists()
+    for theta in ("nan", "inf", "-1"):
+        out = tmp_path / f"theta-{theta}"
+        assert main(["run", *data, "--online-algorithm", "bsas", "--bsas-theta", theta,
+                     "-o", str(out)]) == 1
+        assert "bsas_theta must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+    config = tmp_path / "theta.json"
+    config.write_text('{"online_algorithm": "bsas", "bsas_theta": NaN}')
+    assert main(["run", *data, "--config", str(config), "-o", str(tmp_path / "cfg")]) == 1
+    assert "bsas_theta must be finite and positive" in capsys.readouterr().err
+
+
 def test_data_errors_exit_2(tmp_path):
     missing = tmp_path / "nope.csv"
     assert main(["run", "--corpus", str(missing), "--stream", str(missing)]) == 2

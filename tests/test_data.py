@@ -1,7 +1,13 @@
+import csv
+import io
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from famstream.data import (
     DataFormatError,
@@ -105,6 +111,160 @@ def test_load_csv_rejects_wrong_header(tmp_path):
     with pytest.raises(DataFormatError) as err:
         load_dataset(path)
     assert err.value.line == 1
+
+
+HEADER = "id,family,first_seen,f0,f1,f2\n"
+GOOD_ROW = "ok,fam,2018-01,1,2,3\n"
+
+
+# Each message and line number is what a row-by-row parse reports. The ids
+# starting "pinned" are cells that float() would read and np.loadtxt does
+# not: both loaders reject them, so CSV and JSONL accept the same syntax.
+@pytest.mark.parametrize("body, message", [
+    pytest.param(GOOD_ROW + "a,,2018-01,x,1,2\n", "line 3: column 'f0': not a number: 'x'",
+                 id="word-in-first-column"),
+    pytest.param("a,,2018-01,1,2,x\n", "line 2: column 'f2': not a number: 'x'",
+                 id="word-in-last-column"),
+    pytest.param("a,,2018-01,1,,2\n", "line 2: column 'f1': not a number: ''", id="empty-cell"),
+    pytest.param('a,,2018-01,"1,5",1,2\n', "line 2: column 'f0': not a number: '1,5'",
+                 id="quoted-comma"),
+    pytest.param(GOOD_ROW + "a,,2018-01,1,2,3,4\n", "line 3: expected 6 fields, got 7",
+                 id="too-many-fields"),
+    pytest.param("a,,2018-01,1,2\n", "line 2: expected 6 fields, got 5", id="too-few-fields"),
+    pytest.param("a,,,nan,1,2\n", "line 2: column 'f0': non-finite value 'nan'", id="nan"),
+    pytest.param("a,,,1,2,-inf\n", "line 2: column 'f2': non-finite value '-inf'", id="inf"),
+    pytest.param("a,,,1,1e400,2\n", "line 2: column 'f1': non-finite value '1e400'",
+                 id="overflow"),
+    pytest.param(GOOD_ROW + ",fam,2018-01,1,2,3\n", "line 3: empty sample id", id="empty-id"),
+    pytest.param("a,,2018-13,1,2,3\n", "line 2: month out of range in '2018-13'",
+                 id="bad-month"),
+    pytest.param("a,,late 2018,1,2,3\n", "line 2: expected YYYY-MM date, got 'late 2018'",
+                 id="bad-date"),
+    pytest.param(GOOD_ROW + "\n" + "a,,2018-01,1,2,zz\n", "line 4: column 'f2': not a number: 'zz'",
+                 id="blank-line-before-bad-number"),
+    pytest.param("\n\n" + "a,,2018-01,1\n", "line 4: expected 6 fields, got 4",
+                 id="blank-lines-before-short-row"),
+    # the first error in file order wins; within a row, numbers come before id and date
+    pytest.param("a,,,x,2,3\n" + ",,,1,2,3\n", "line 2: column 'f0': not a number: 'x'",
+                 id="number-before-later-id"),
+    pytest.param(",,,1,x,3\n", "line 2: column 'f1': not a number: 'x'",
+                 id="number-before-id-in-row"),
+    pytest.param("a,,bad,1,x,3\n", "line 2: column 'f1': not a number: 'x'",
+                 id="number-before-date-in-row"),
+    pytest.param("a,,,1,x,3\n" + "b,,,1\n", "line 2: column 'f1': not a number: 'x'",
+                 id="number-before-later-short-row"),
+    pytest.param("b,,,1\n" + "a,,,1,x,3\n", "line 2: expected 6 fields, got 4",
+                 id="short-row-before-later-number"),
+    pytest.param(",,,1,2,3\n" + "a,,,1,x,3\n", "line 2: empty sample id",
+                 id="id-before-later-number"),
+    pytest.param("a,,,1,1_0,2\n", "line 2: column 'f1': not a number: '1_0'",
+                 id="pinned-underscore"),
+    pytest.param("a,,,1,\u0661,2\n", "line 2: column 'f1': not a number: '\u0661'",
+                 id="pinned-non-ascii-digit"),
+])
+def test_load_csv_malformed_names_first_bad_line(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER + body, encoding="utf-8")
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(path)
+    assert str(err.value) == message
+
+
+def test_load_csv_accepted_number_syntax(tmp_path):
+    cells = [" 1.5", "-2 ", "+3e2", ".5", "5.", "-0.0", "1E-400", "\t7\u00a0", '"8"']
+    path = tmp_path / "ok.csv"
+    path.write_text(
+        "id,family,first_seen," + ",".join(f"f{i}" for i in range(len(cells))) + "\n"
+        + "a,,," + ",".join(cells) + "\n",
+        encoding="utf-8",
+    )
+    (sample,) = load_dataset(path).samples
+    assert sample.features.tobytes() == np.array(
+        [1.5, -2.0, 300.0, 0.5, 5.0, -0.0, 0.0, 7.0, 8.0]).tobytes()
+    assert not sample.features.flags.writeable
+    (tmp_path / "empty.csv").write_text("")
+    with pytest.raises(DataFormatError, match="^line 1: empty file$"):
+        load_dataset(tmp_path / "empty.csv")
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_load_csv_from_pipe_is_a_data_error():
+    # The CSV loader reads its input twice; a pipe is empty the second time.
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "w") as fh:
+        fh.write(HEADER + GOOD_ROW)
+    try:
+        with pytest.raises(DataFormatError, match="read 0 of 1 rows; CSV input must be a file"):
+            load_dataset(f"/dev/fd/{read_end}", "csv")
+    finally:
+        os.close(read_end)
+
+
+def test_load_jsonl_sample_ids(tmp_path):
+    path = tmp_path / "ids.jsonl"
+    path.write_text('{"id": 0, "features": [1.0]}\n{"id": "x", "features": [2.0]}\n')
+    assert load_dataset(path).ids() == ["0", "x"]
+    for sid in ("null", '""'):
+        path.write_text('{"id": "x", "features": [1.0]}\n' + f'{{"id": {sid}, "features": [2.0]}}\n')
+        with pytest.raises(DataFormatError, match="^line 2: empty sample id$"):
+            load_dataset(path)
+    for value, message in (('"1_0"', "not a number: '1_0'"), ("1" + "0" * 400, "not a number: 1")):
+        path.write_text(f'{{"id": "x", "features": [1.0, {value}]}}\n')
+        with pytest.raises(DataFormatError, match=f"^line 1: column 'f1': {message}"):
+            load_dataset(path)
+
+
+def _insert_blank_lines(path, fmt, where):
+    """Add a blank line after each record whose index is in `where`."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = list(fh)
+    ends = []  # line count at the end of each record; CSV records may span lines
+    if fmt == "csv":
+        reader = csv.reader(io.StringIO("".join(lines), newline=""))
+        for _ in reader:
+            ends.append(reader.line_num)
+    else:
+        ends = list(range(1, len(lines) + 1))
+    for i in sorted((i for i in where if i < len(ends)), reverse=True):
+        lines.insert(ends[i], "\r\n" if fmt == "csv" else "\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(lines))
+
+
+_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                min_size=1, max_size=8)
+_text = st.one_of(_text, st.text(st.sampled_from(',"\r\n a'), min_size=1, max_size=6))
+
+
+@st.composite
+def datasets(draw):
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(_text, min_size=n, max_size=n, unique=True))
+    rows = []
+    for sid in ids:
+        features = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                 min_size=dim, max_size=dim))
+        family = draw(st.none() | _text)
+        first_seen = draw(st.none() | st.builds("{:04d}-{:02d}".format,
+                                                st.integers(1000, 9999), st.integers(1, 12)))
+        rows.append((sid, features, family, first_seen))
+    return make_dataset(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ds=datasets(), fmt=st.sampled_from(["csv", "jsonl"]),
+       blanks=st.sets(st.integers(0, 13), max_size=4))
+def test_save_load_round_trip_is_bit_identical(tmp_path_factory, ds, fmt, blanks):
+    path = tmp_path_factory.mktemp("rt") / f"data.{fmt}"
+    save_dataset(ds, path)
+    _insert_blank_lines(path, fmt, blanks)
+    back = load_dataset(path)
+    assert back.dim == ds.dim
+    assert [(s.id, s.family, s.first_seen) for s in back.samples] == [
+        (s.id, s.family, s.first_seen) for s in ds.samples]
+    for a, b in zip(ds.samples, back.samples):
+        assert a.features.tobytes() == b.features.tobytes()
 
 
 def test_load_jsonl_matches_csv(tmp_path):

@@ -1,5 +1,10 @@
+import copy
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from famstream.data import DimensionMismatchError
 from famstream.online import (
@@ -153,6 +158,58 @@ def test_som_okm_correspondence():
             c = som_update(som, x)
             assert i == c
         assert np.max(np.abs(okm.centroids - som.weights)) <= 1e-12
+
+
+def reference_som_update(state: SOMState, x) -> int:
+    """The step as first written: the lattice kernel and x - w recomputed per call."""
+    diff = state.weights - x
+    c = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+    state.counts[c] += 1
+    a = 1.0 / state.counts[c] if state.alpha_mode == "win_count" else state.alpha()
+    s = state.sigma()
+    if s == 0.0:
+        state.weights[c] += a * (x - state.weights[c])
+    else:
+        d_grid = np.abs(state.grid_positions - state.grid_positions[c])
+        h = np.exp(-(d_grid ** 2) / (2.0 * s * s))
+        state.weights += (a * h)[:, None] * (x - state.weights)
+    state.t += 1
+    return c
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_units=st.integers(1, 7),
+    dim=st.integers(1, 6),
+    sigma0=st.sampled_from([0.0, 0.3, 1.0, None]),
+    alpha_mode=st.sampled_from(["exponential", "win_count"]),
+    steps=st.integers(1, 30),
+)
+def test_som_update_equals_reference_bit_for_bit(seed, n_units, dim, sigma0, alpha_mode, steps):
+    rng = np.random.default_rng(seed)
+    state = som_init(n_units, dim, seed=rng, alpha0=float(rng.uniform(0.01, 1.0)),
+                     lambda_alpha=float(rng.uniform(1, 100)), sigma0=sigma0,
+                     lambda_sigma=float(rng.uniform(1, 100)), alpha_mode=alpha_mode)
+    state.weights = rng.normal(size=(n_units, dim)) * 10.0 ** rng.uniform(-3, 3)
+    if n_units > 1 and rng.random() < 0.5:
+        state.weights[-1] = state.weights[0]  # two units tie for every x
+    state.t = int(rng.integers(0, 50))
+    state.counts = rng.integers(0, 5, size=n_units)
+    ref = copy.deepcopy(state)
+    # a loaded state recomputes the lattice term, which is not saved
+    loaded = SOMState.from_dict(json.loads(json.dumps(state.to_dict())))
+    assert "neg_sq_lattice" not in state.to_dict()
+    # the last x sits on a unit: its winning distance is exactly 0
+    xs = np.concatenate([rng.normal(size=(steps, dim)), state.weights[:1]])
+    for x in xs:
+        c = reference_som_update(ref, x)
+        assert som_update(state, x) == c
+        assert som_update(loaded, x) == c
+        for got in (state, loaded):
+            assert got.weights.tobytes() == ref.weights.tobytes()
+            assert got.counts.tolist() == ref.counts.tolist()
+            assert got.t == ref.t
 
 
 # --- BSAS -------------------------------------------------------------------

@@ -59,11 +59,11 @@ def python_accepts(members, centroid, x, tau):
 
 def check_classify(points, labels, k, weighting, x):
     ref = ReferenceSet(points=points, labels=labels)
-    got, neighbors = classify(ref, WKNNParams(k=k, weighting=weighting), x)
+    got, (rows, got_dists) = classify(ref, WKNNParams(k=k, weighting=weighting), x)
     want, order, dists = full_sort_classify(points, labels, k, weighting, x)
     assert got == want
-    assert [d for _, d in neighbors] == dists
-    np.testing.assert_array_equal(np.array([p for p, _ in neighbors]), points[order])
+    assert got_dists.tolist() == dists
+    np.testing.assert_array_equal(ref.points[rows], points[order])
 
 
 # Small integer lattices give exact distance ties, duplicate points and

@@ -34,18 +34,19 @@ def brute_force_classify(points, labels, k, weighting, x):
 
 def test_classify_nearest_coincident_point():
     ref = ReferenceSet(points=[[0.0, 0.0], [5.0, 5.0]], labels=[3, 7])
-    label, neighbors = classify(ref, WKNNParams(k=1), np.array([0.0, 0.0]))
+    label, (rows, dists) = classify(ref, WKNNParams(k=1), np.array([0.0, 0.0]))
     assert label == 3
-    assert neighbors[0][1] == 0.0
+    assert rows.tolist() == [0] and dists.tolist() == [0.0]
 
 
 def test_classify_hand_weights():
     # neighbor distances (1, 2, 3) with labels (A, B, B):
     # weights (1, 0.5, 0) -> A wins 1.0 to 0.5
     ref = ReferenceSet(points=[[1.0], [2.0], [3.0]], labels=[0, 1, 1])
-    label, neighbors = classify(ref, WKNNParams(k=3, weighting="distance"), np.array([0.0]))
+    label, (rows, dists) = classify(ref, WKNNParams(k=3, weighting="distance"), np.array([0.0]))
     assert label == 0
-    assert [round(d, 12) for _, d in neighbors] == [1.0, 2.0, 3.0]
+    assert rows.tolist() == [0, 1, 2]
+    assert [round(d, 12) for d in dists.tolist()] == [1.0, 2.0, 3.0]
 
 
 def test_classify_all_equidistant_branch():
@@ -83,8 +84,7 @@ def test_weights_bounds_and_nearest_weight():
     labels = [int(l) for l in rng.integers(0, 3, size=30)]
     ref = ReferenceSet(points=points, labels=labels)
     x = rng.normal(size=3)
-    _, neighbors = classify(ref, WKNNParams(k=5), x)
-    d = np.array([dist for _, dist in neighbors])
+    _, (_, d) = classify(ref, WKNNParams(k=5), x)
     assert np.all(np.diff(d) >= 0)
     if d[-1] != d[0]:
         w = (d[-1] - d) / (d[-1] - d[0])
@@ -156,9 +156,9 @@ def test_distance_ties_keep_insertion_order():
         points=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
         labels=[5, 6, 7, 8],
     )
-    _, neighbors = classify(ref, WKNNParams(k=2), np.array([0.0, 0.0]))
-    np.testing.assert_array_equal(neighbors[0][0], [1.0, 0.0])
-    np.testing.assert_array_equal(neighbors[1][0], [-1.0, 0.0])
+    _, (rows, _) = classify(ref, WKNNParams(k=2), np.array([0.0, 0.0]))
+    assert rows.tolist() == [0, 1]
+    np.testing.assert_array_equal(ref.points[rows], [[1.0, 0.0], [-1.0, 0.0]])
 
 
 def test_reference_set_serialization():

@@ -3,9 +3,10 @@
 Regenerates the full and small synthetic fixtures (seed 11, the sizes of
 tests/conftest.py's benchmark_data and small_data, as one file each split at
 2018-11), runs run, grid, baseline, sweep-tau and select-features on both in
-subprocesses against the chosen source tree, and prints one `path sha256`
-line per result file, headed by the BLAS thread setting. Two source trees
-give byte-identical results when their outputs are equal:
+subprocesses against the chosen source tree, runs `run` once more on a JSONL
+copy of the small fixture so that both loaders are covered, and prints one
+`path sha256` line per result file, headed by the BLAS thread setting. Two
+source trees give byte-identical results when their outputs are equal:
 
     python tools/parity.py > change.txt
     python tools/parity.py --src /path/to/parent/src > parent.txt
@@ -36,9 +37,10 @@ MAKE_FIXTURES = """
 from famstream.data import save_dataset
 from famstream.synthetic import make_family_dataset
 save_dataset(make_family_dataset(seed=11), "full.csv")
-save_dataset(make_family_dataset(seed=11, corpus_per_family=150,
-                                 stream_known_per_family=40,
-                                 stream_new_per_family=80), "small.csv")
+small = make_family_dataset(seed=11, corpus_per_family=150, stream_known_per_family=40,
+                            stream_new_per_family=80)
+save_dataset(small, "small.csv")
+save_dataset(small, "small.jsonl")
 """
 
 COMMANDS = (
@@ -70,13 +72,15 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="famstream-parity-") as tmp:
         work = Path(tmp)
         subprocess.run([sys.executable, "-c", MAKE_FIXTURES], cwd=work, env=env, check=True)
-        for fixture in ("full", "small"):
-            for name, command in COMMANDS:
-                subprocess.run(
-                    [sys.executable, "-m", "famstream", *command, "--data", f"{fixture}.csv",
-                     "--cutoff", CUTOFF, "-o", f"{fixture}/{name}"],
-                    cwd=work, env=env, check=True, stdout=subprocess.DEVNULL,
-                )
+        runs = [(f"{fixture}.csv", f"{fixture}/{name}", command)
+                for fixture in ("full", "small") for name, command in COMMANDS]
+        runs.append(("small.jsonl", "small-jsonl/run", dict(COMMANDS)["run"]))
+        for data, outdir, command in runs:
+            subprocess.run(
+                [sys.executable, "-m", "famstream", *command, "--data", data,
+                 "--cutoff", CUTOFF, "-o", outdir],
+                cwd=work, env=env, check=True, stdout=subprocess.DEVNULL,
+            )
         setting = " ".join(f"{var}={env[var]}" for var in THREAD_VARS if var in env)
         print(f"# BLAS threads: {setting or 'default (unset)'}")
         for path in sorted(p for p in work.glob("*/**/*") if p.is_file()):
