@@ -12,7 +12,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .online import final_assign, som_init, som_update
 from .points import PointBuffer, exact_dists
@@ -154,6 +153,8 @@ def kmeans_batch(
     from its former centroid. Nearest-centroid ties go to the lowest cluster
     id. Raises ValueError when k exceeds the number of distinct points.
     """
+    from scipy.spatial.distance import cdist  # as in metrics._score_group
+
     X = _as_points(points)
     ids = _default_ids(X.shape[0], ids)
     if k < 1:
@@ -194,6 +195,8 @@ def dbscan(
     of core points, grown in scan order, so border points join the first
     core cluster that reaches them. Deterministic for a fixed input order.
     """
+    from scipy.spatial.distance import cdist  # as in metrics._score_group
+
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if min_samples < 1:

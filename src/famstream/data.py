@@ -49,32 +49,9 @@ class DataFormatError(ValueError):
         super().__init__(message)
 
 
-def as_vector(values) -> np.ndarray:
-    """Validate *values* as a feature vector and return it read-only.
-
-    Raises ValueError for empty, non-1-D, or non-finite input.
-    """
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"feature vector must be 1-D and non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("feature vector contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
-
-
 def check_dim(expected: int, got: int, context: str = "") -> None:
     if expected != got:
         raise DimensionMismatchError(expected, got, context)
-
-
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two feature vectors of equal dimension."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    check_dim(a.shape[-1], b.shape[-1], "euclidean_distance")
-    diff = a - b
-    return float(math.sqrt(float(np.dot(diff, diff))))
 
 
 def parse_year_month(value: str) -> tuple[int, int]:
@@ -344,7 +321,18 @@ def _load_jsonl(path: Path) -> list[Sample]:
                 raise DataFormatError(
                     f"inconsistent dimension: expected {dim}, got {len(values)}", line
                 )
-            sid, first_seen = obj["id"], obj.get("first_seen") or None
+            sid = obj["id"]
+            # an integer id reads as its decimal string, as a CSV cell would
+            if isinstance(sid, (bool, float, list, dict)):
+                raise DataFormatError(
+                    f"'id' must be a string or an integer, got {type(sid).__name__}", line
+                )
+            for key in ("family", "first_seen"):
+                if not isinstance(obj.get(key), (str, type(None))):
+                    raise DataFormatError(
+                        f"{key!r} must be a string or null, got {type(obj[key]).__name__}", line
+                    )
+            first_seen = obj.get("first_seen") or None
             _check_id_and_date(sid, first_seen, line)
             features = np.array(values, dtype=np.float64)
             features.setflags(write=False)

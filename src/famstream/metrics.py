@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 _CHUNK = 256
 
@@ -131,6 +130,10 @@ def _encode_labels(labels: Sequence, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _score_group(X: np.ndarray, group: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
+    # scipy's kernel is several times faster than points.pair_dists on a pass
+    # this large; importing it here keeps scipy off the routing path
+    from scipy.spatial.distance import cdist
+
     n = X.shape[0]
     onehots = []
     for lab, sizes in group:

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .data import check_dim
+from .points import condensed_dists, pair_dists
 
 BSAS_WARMUP_SIZE = 100
 
@@ -333,7 +333,7 @@ def final_assign(state, points) -> np.ndarray:
         X = X[None, :]
     centroids = _state_centroids(state)
     check_dim(centroids.shape[1], X.shape[1], "final_assign")
-    return np.argmin(cdist(X, centroids), axis=1)
+    return np.argmin(pair_dists(X, centroids), axis=1)
 
 
 def state_to_json(state, path: str | Path) -> None:
@@ -438,7 +438,7 @@ class StreamingClusterer:
     def _start_bsas(self) -> None:
         buf = np.stack(self._pending)
         if buf.shape[0] >= 2:
-            theta = 0.5 * float(pdist(buf).mean())
+            theta = 0.5 * float(condensed_dists(buf).mean())
         else:
             theta = 1.0
         self.state = bsas_init(max(theta, np.finfo(float).tiny), self.n_clusters)

@@ -9,6 +9,12 @@ on how far each entry may sit from the squared distance that `exact_dists`
 computes the direct way. Callers decide on s wherever the bound cannot flip
 the decision and recompute exactly, with `exact_dists`, only the rows where it
 can. That keeps every decision identical to scanning with `exact_dists` alone.
+
+`pair_dists` and `condensed_dists` are the all-pairs Euclidean distances of
+final assignment and the BSAS warm-up. Their contract is bit parity with
+scipy's euclidean `cdist` and `pdist`: the squares (a_k - b_k)^2 are added
+left to right over the dimensions, the order scipy's kernel uses, so the
+routing path needs numpy alone and still returns scipy's bits.
 """
 
 from __future__ import annotations
@@ -110,3 +116,22 @@ def sq_dists(points: np.ndarray, sq_norms: np.ndarray, x: np.ndarray) -> tuple[n
     s += xx
     r = math.sqrt(float(sq_norms.max())) + math.sqrt(xx)
     return s, (points.shape[1] + 6) * EPS * r * r
+
+
+def pair_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(m, n) Euclidean distances between the rows of A and of B, bit for bit
+    what scipy's `cdist(A, B)` returns."""
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    out = np.zeros((A.shape[0], B.shape[0]))
+    for k in range(A.shape[1]):
+        diff = A[:, k, None] - B[:, k]
+        diff *= diff
+        out += diff
+    return np.sqrt(out, out=out)
+
+
+def condensed_dists(A: np.ndarray) -> np.ndarray:
+    """Distances between all pairs of rows i < j of A in row-major order, bit
+    for bit what scipy's `pdist(A)` returns."""
+    return pair_dists(A, A)[np.triu_indices(len(A), 1)]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import famstream
 from famstream import cli, pipeline
 from famstream.cli import main, parse_float_list, parse_int_list, UsageError
 from famstream.data import save_dataset
@@ -180,6 +185,9 @@ def test_data_errors_exit_2(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("id,family,first_seen,f0\nx,,,nan\n")
     assert main(["run", "--data", str(bad), "--cutoff", "2018-01"]) == 2
+    dated = tmp_path / "dated.jsonl"
+    dated.write_text('{"id": "x", "first_seen": 201811, "features": [1.0]}\n')
+    assert main(["run", "--data", str(dated), "--cutoff", "2018-01"]) == 2
 
 
 def test_runtime_errors_exit_3(tmp_path, data_files, monkeypatch, capsys):
@@ -231,3 +239,27 @@ def test_failed_cells_reported_on_stderr(tmp_path, data_files, monkeypatch, caps
                        "cell bsas k=4 repeat 0 failed: bsas went wrong"]
         results = (out / f"{cmd}_results.csv").read_text()
         assert "went wrong" not in results
+
+
+def scipy_modules_after(code: str) -> list[str]:
+    """Run code in a fresh interpreter; the scipy modules it left loaded."""
+    env = dict(os.environ, PYTHONPATH=str(Path(famstream.__file__).parents[1]))
+    probe = ("\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    child = subprocess.run([sys.executable, "-c", code + probe], env=env,
+                           capture_output=True, text=True, check=True)
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def test_import_leaves_scipy_unloaded():
+    assert scipy_modules_after("import famstream.cli") == []
+
+
+def test_sweep_tau_runs_without_scipy(tmp_path, small_data):
+    corpus, stream = small_data
+    save_dataset(corpus, tmp_path / "corpus.csv")
+    save_dataset(stream, tmp_path / "stream.csv")
+    argv = ["sweep-tau", "--corpus", str(tmp_path / "corpus.csv"),
+            "--stream", str(tmp_path / "stream.csv"), "-o", str(tmp_path / "out")]
+    assert scipy_modules_after(f"from famstream.cli import main\nassert main({argv!r}) == 0") == []
+    assert (tmp_path / "out" / "tau_sweep.csv").exists()

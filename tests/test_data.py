@@ -1,6 +1,6 @@
 import csv
 import io
-import math
+import json
 import os
 from pathlib import Path
 
@@ -14,8 +14,6 @@ from famstream.data import (
     Dataset,
     DimensionMismatchError,
     Sample,
-    as_vector,
-    euclidean_distance,
     load_dataset,
     parse_year_month,
     save_dataset,
@@ -36,37 +34,6 @@ JSONL_FIXTURE = (
     '{"id": "b", "family": null, "first_seen": "2018-02", "features": [3.5, -1.0]}\n'
     '{"id": "c", "family": "ramnit", "first_seen": null, "features": [0.0, 0.25]}\n'
 )
-
-
-def test_euclidean_distance_examples():
-    assert euclidean_distance(np.zeros(2), np.zeros(2)) == 0.0
-    assert euclidean_distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
-    # hand evaluation: diff (-3, -4, 0), sqrt(9 + 16) = 5
-    assert euclidean_distance(np.array([1.0, 2.0, 3.0]), np.array([4.0, 6.0, 3.0])) == 5.0
-
-
-def test_euclidean_distance_dim_mismatch_names_both_dims():
-    with pytest.raises(DimensionMismatchError) as err:
-        euclidean_distance(np.zeros(2), np.zeros(3))
-    assert err.value.expected == 2
-    assert err.value.got == 3
-
-
-def test_euclidean_distance_symmetric_and_triangle():
-    rng = np.random.default_rng(42)
-    for _ in range(300):
-        a, b, c = rng.normal(size=(3, 6))
-        assert euclidean_distance(a, b) == euclidean_distance(b, a)
-        assert euclidean_distance(a, c) <= euclidean_distance(a, b) + euclidean_distance(b, c) + 1e-12
-
-
-def test_as_vector_rejects_non_finite():
-    with pytest.raises(ValueError):
-        as_vector([1.0, math.nan])
-    with pytest.raises(ValueError):
-        as_vector([math.inf, 0.0])
-    with pytest.raises(ValueError):
-        as_vector([])
 
 
 def test_parse_year_month():
@@ -214,6 +181,23 @@ def test_load_jsonl_sample_ids(tmp_path):
             load_dataset(path)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("first_seen", 201811, "'first_seen' must be a string or null, got int"),
+    ("first_seen", ["2018-11"], "'first_seen' must be a string or null, got list"),
+    ("family", 7, "'family' must be a string or null, got int"),
+    ("family", False, "'family' must be a string or null, got bool"),
+    ("id", 1.5, "'id' must be a string or an integer, got float"),
+    ("id", True, "'id' must be a string or an integer, got bool"),
+    ("id", {"a": 1}, "'id' must be a string or an integer, got dict"),
+])
+def test_load_jsonl_rejects_non_string_fields(tmp_path, field, value, message):
+    path = tmp_path / "types.jsonl"
+    record = {"id": "y", "features": [2.0], field: value}
+    path.write_text('{"id": "x", "features": [1.0]}\n' + json.dumps(record) + "\n")
+    with pytest.raises(DataFormatError, match=f"^line 2: {message}$"):
+        load_dataset(path)
+
+
 def _insert_blank_lines(path, fmt, where):
     """Add a blank line after each record whose index is in `where`."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -359,8 +343,8 @@ def test_split_by_time_missing_dates_lists_ids():
 
 
 def test_dataset_from_samples_checks_dim():
-    good = Sample("a", as_vector([1.0, 2.0]))
-    bad = Sample("b", as_vector([1.0]))
+    good = Sample("a", np.array([1.0, 2.0]))
+    bad = Sample("b", np.array([1.0]))
     with pytest.raises(DimensionMismatchError):
         Dataset.from_samples([good, bad])
     with pytest.raises(ValueError):

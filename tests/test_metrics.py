@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import distance
 from scipy.spatial.distance import cdist
 
 from famstream import metrics
@@ -194,7 +195,7 @@ def shared_pass_cases(draw):
 def test_shared_pass_equals_each_alone_and_oracle(case):
     chunk, points, labelings = case
     with mock.patch.object(metrics, "_CHUNK", chunk), \
-            mock.patch.object(metrics, "cdist", wraps=cdist) as spy:
+            mock.patch.object(distance, "cdist", wraps=cdist) as spy:
         together = mean_silhouette(points, labelings)
         assert spy.call_count == expected_groups(labelings, chunk) * math.ceil(len(points) / chunk)
         alone = [mean_silhouette(points, [labels])[0] for labels in labelings]
@@ -214,7 +215,7 @@ def test_shared_pass_at_chunk_boundaries(n):
     labelings = [rng.integers(0, 7, size=n) for _ in range(36)]
     labelings.append(np.arange(n) % 300)
     labelings += [rng.integers(-5, 2, size=n) * 3 for _ in range(4)]
-    with mock.patch.object(metrics, "cdist", wraps=cdist) as spy:
+    with mock.patch.object(distance, "cdist", wraps=cdist) as spy:
         together = mean_silhouette(points, labelings)
     assert spy.call_count == 3 * math.ceil(n / metrics._CHUNK)
     assert together == [mean_silhouette(points, [labels])[0] for labels in labelings]
@@ -228,7 +229,7 @@ def test_labelings_validated_before_the_pass():
     # three clusters fill a group at _CHUNK = 3, so the bad labeling comes
     # after a complete group
     with mock.patch.object(metrics, "_CHUNK", 3), \
-            mock.patch.object(metrics, "cdist", wraps=cdist) as spy:
+            mock.patch.object(distance, "cdist", wraps=cdist) as spy:
         with pytest.raises(ValueError, match="at least 2 clusters"):
             mean_silhouette(points, [good, good, [4] * 6])
         with pytest.raises(ValueError, match="6 points but 5 labels"):

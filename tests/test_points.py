@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist
 
 from famstream import decision, wknn
 from famstream.batch import Cluster
 from famstream.data import Route
 from famstream.decision import DecisionParams, accepts, route_sample
 from famstream.pipeline import PipelineConfig, build_known_model, fit_projection, transform_stream
-from famstream.points import PointBuffer, sq_dists
+from famstream.points import PointBuffer, condensed_dists, pair_dists, sq_dists
 from famstream.wknn import ReferenceSet, WKNNParams, classify
 
 
@@ -125,6 +126,32 @@ def test_sq_dists_within_bound(data, scale):
     diff = points - x
     exact = np.einsum("ij,ij->i", diff, diff)
     assert np.all(np.abs(s - exact) <= err)
+
+
+@st.composite
+def row_sets(draw):
+    """Two matrices of 0 to 30 rows, rows drawn with repeats from one pool,
+    entries from 1e-150 to 1e150 in magnitude."""
+    d = draw(st.sampled_from([1, 2, 3, 5, 8, 13, 40]))
+    entry = st.builds(lambda m, e: m * 10.0 ** e,
+                      st.floats(-10, 10, allow_subnormal=False), st.integers(-150, 150))
+    pool_size = draw(st.integers(1, 12))
+    pool = np.array(draw(st.lists(entry, min_size=pool_size * d, max_size=pool_size * d)))
+    pool = pool.reshape(pool_size, d)
+    picks = st.lists(st.integers(0, pool_size - 1), max_size=30)
+    return pool[np.array(draw(picks), dtype=np.intp)], pool[np.array(draw(picks), dtype=np.intp)]
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=row_sets())
+def test_pair_dists_match_scipy_bits(data):
+    A, B = data
+    assert same_bits(pair_dists(A, B), cdist(A, B))
+    assert same_bits(condensed_dists(A), pdist(A))
 
 
 @pytest.fixture
