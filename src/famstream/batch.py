@@ -221,7 +221,9 @@ def dbscan(
             labels[i] = NOISE
             continue
         labels[i] = cid
-        queue = deque(int(j) for j in neigh)
+        # a label never returns to UNVISITED or NOISE, so a neighbour already
+        # in a cluster (label >= 0) would only be skipped when popped
+        queue = deque(neigh[labels[neigh] < 0].tolist())
         while queue:
             j = queue.popleft()
             if labels[j] == NOISE:
@@ -231,7 +233,7 @@ def dbscan(
             labels[j] = cid
             jn = region(j)
             if jn.size >= min_samples:
-                queue.extend(int(m) for m in jn)
+                queue.extend(jn[labels[jn] < 0].tolist())
         cid += 1
 
     noise_ids = [ids[i] for i in range(n) if labels[i] == NOISE]

@@ -3,8 +3,16 @@
 Purity consumes ground-truth family labels and is used for evaluation only;
 it is never read by model selection. The silhouette coefficient (Rousseeuw,
 1987) is label-free and safe to use while tuning. mean_silhouette scores
-any number of labelings of one point set from a single chunked pass over
-the pairwise distances, which dominates its cost.
+any number of labelings of one point set from a single pass over the
+pairwise distances, which dominates its cost.
+
+The pass is symmetric: it splits the points into blocks and computes the
+distances of each unordered pair of blocks once, so it evaluates each
+distance once, not twice. Each labeling sums those distances per cluster
+with plain numpy reductions in a fixed order, not with a matrix product,
+because a BLAS product's bits change with its thread count: the scores are
+the same bits at any thread count, and whichever other labelings share the
+pass.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-_CHUNK = 256
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -93,28 +101,18 @@ def mean_silhouette(points, labelings: Sequence[Sequence]) -> list[float]:
     labeling needs at least two clusters; all are checked before any
     distance is computed.
 
-    The labelings share one chunked distance pass: for each chunk of rows,
-    each labeling takes its own `dist @ onehot`, the same product on the
-    same operands as scoring it alone, so a labeling scores the same bits
-    whichever others come with it. Labelings are scored in groups whose
-    one-hot columns total at most _CHUNK (a labeling with more clusters is
-    a group of its own), so the one-hot matrices of a group take no more
-    memory than one distance chunk.
+    All labelings share one pass over the pairwise distances, and a
+    labeling scores the same bits whichever others come with it: see
+    _cluster_sums.
     """
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2:
         X = np.atleast_2d(X)
     encoded = [_encode_labels(labels, X.shape[0]) for labels in labelings]
-    scores: list[float] = []
-    group: list[tuple[np.ndarray, np.ndarray]] = []
-    for lab, sizes in encoded:
-        if group and sum(len(s) for _, s in group) + len(sizes) > _CHUNK:
-            scores.extend(_score_group(X, group))
-            group = []
-        group.append((lab, sizes))
-    if group:
-        scores.extend(_score_group(X, group))
-    return scores
+    if not encoded:
+        return []
+    sums = _cluster_sums(X, [lab for lab, _ in encoded])
+    return [float(_row_scores(S.T, lab, sizes).mean()) for S, (lab, sizes) in zip(sums, encoded)]
 
 
 def _encode_labels(labels: Sequence, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,25 +127,54 @@ def _encode_labels(labels: Sequence, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lab, np.bincount(lab, minlength=len(uniq)).astype(np.float64)
 
 
-def _score_group(X: np.ndarray, group: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
+def _cluster_sums(X: np.ndarray, labs: list[np.ndarray]) -> list[np.ndarray]:
+    """Per labeling, the (k, n) sums of each point's distances to each cluster.
+
+    The points are split, in input order, into blocks of _BLOCK rows, and
+    each unordered pair of blocks (I, J), I <= J, takes one D = cdist(X_I,
+    X_J): its rows give block J's sums over I's points, its columns block
+    I's sums over J's points. scipy's euclidean kernel is symmetric bit for
+    bit ((a-b)^2 == (b-a)^2), so D.T holds cdist(X_J, X_I). Within a block
+    the points are ordered by a stable sort on their cluster, and each run
+    of one cluster is reduced with .sum(axis=0), whose order of additions
+    numpy fixes from the shape alone; each block's partial sums are added
+    in block order. The sums thus depend only on the points, the labeling
+    and _BLOCK, not on the BLAS thread count (which a matrix product's bits
+    do) nor on the other labelings.
+    """
     # scipy's kernel is several times faster than points.pair_dists on a pass
     # this large; importing it here keeps scipy off the routing path
     from scipy.spatial.distance import cdist
 
     n = X.shape[0]
-    onehots = []
-    for lab, sizes in group:
-        onehot = np.zeros((n, len(sizes)), dtype=np.float64)
-        onehot[np.arange(n), lab] = 1.0
-        onehots.append(onehot)
-    scores = [np.zeros(n, dtype=np.float64) for _ in group]
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        dist = cdist(X[start:stop], X)          # (m, n), self-distance is 0
-        for (lab, sizes), onehot, out in zip(group, onehots, scores):
-            cluster_sums = dist @ onehot        # (m, k) fixed-order reduction
-            out[start:stop] = _row_scores(cluster_sums, lab[start:stop], sizes)
-    return [float(s.mean()) for s in scores]
+    starts = range(0, n, _BLOCK)
+    runs = [[_runs(lab[i:i + _BLOCK]) for i in starts] for lab in labs]
+    sums = [np.zeros((lab.max() + 1, n), dtype=np.float64) for lab in labs]
+    for bi, i in enumerate(starts):
+        for bj, j in enumerate(starts[bi:], bi):
+            dist = cdist(X[i:i + _BLOCK], X[j:j + _BLOCK])
+            for S, blocks in zip(sums, runs):
+                _add_runs(S[:, j:j + _BLOCK], dist, blocks[bi])
+                if bj != bi:
+                    _add_runs(S[:, i:i + _BLOCK], dist.T, blocks[bj])
+    return sums
+
+
+def _runs(lab: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """A stable order of one block's points by cluster, and each run of one
+    cluster in it as (cluster, start, stop)."""
+    order = np.argsort(lab, kind="stable")
+    clusters, heads = np.unique(lab[order], return_index=True)
+    stops = [*heads[1:].tolist(), len(lab)]
+    return order, list(zip(clusters.tolist(), heads.tolist(), stops))
+
+
+def _add_runs(out: np.ndarray, dist: np.ndarray, block: tuple) -> None:
+    """Add to out[c] the sum of the rows of dist whose point is in cluster c."""
+    order, runs = block
+    rows = dist[order]
+    for c, a, b in runs:
+        out[c] += rows[a:b].sum(axis=0)
 
 
 def _row_scores(cluster_sums: np.ndarray, own: np.ndarray, sizes: np.ndarray) -> np.ndarray:

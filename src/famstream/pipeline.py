@@ -23,7 +23,7 @@ corpus clustering consumes base and the online stage consumes base + 1.
 Every grid cell can therefore be reproduced in isolation with run_pipeline:
 a labeling scores the same bits alone or beside others. Wall-clock timings
 are kept apart from metric outputs so that result files are
-byte-reproducible for a fixed master seed (and a fixed BLAS thread count).
+byte-reproducible for a fixed master seed.
 """
 
 from __future__ import annotations

@@ -101,9 +101,11 @@ def fit_pca(scaled_corpus, n_components: int) -> PCAModel:
     """Fit a PCA model with the top n_components covariance eigenvectors.
 
     The covariance uses the n-1 denominator; a single-row corpus gets a zero
-    covariance. The eigendecomposition is a deterministic symmetric solve,
-    and each component's sign is fixed so its largest-magnitude entry is
-    positive, which makes refits reproducible.
+    covariance. It is an einsum, not a BLAS product, so it is exactly
+    symmetric and its bits do not depend on the BLAS thread count. The
+    eigendecomposition is a deterministic symmetric solve, and each
+    component's sign is fixed so its largest-magnitude entry is positive,
+    which makes refits reproducible.
     """
     X = _as_matrix(scaled_corpus)
     n, d = X.shape
@@ -116,7 +118,7 @@ def fit_pca(scaled_corpus, n_components: int) -> PCAModel:
     mean = X.mean(axis=0)
     centered = X - mean
     if n > 1:
-        cov = centered.T @ centered / (n - 1)
+        cov = np.einsum("ij,ik->jk", centered, centered) / (n - 1)
     else:
         cov = np.zeros((d, d), dtype=np.float64)
     evals, evecs = np.linalg.eigh(cov)

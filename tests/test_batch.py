@@ -1,8 +1,9 @@
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from famstream.batch import Cluster, KnownClusters, dbscan, kmeans_batch, som_batch
@@ -154,6 +155,67 @@ def test_dbscan_core_partition_permutation_invariant():
         }
         got_core_partition.discard(frozenset())
         assert got_core_partition == base_partition
+
+
+def reference_dbscan_labels(pts, eps, min_samples):
+    """The DBSCAN loop that pushed every neighbour of a core point, labeled
+    or not, onto the queue: label per point, -1 for noise."""
+    n = len(pts)
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    UNVISITED, NOISE = -2, -1
+    labels = np.full(n, UNVISITED)
+    cid = 0
+    for i in range(n):
+        if labels[i] != UNVISITED:
+            continue
+        neigh = np.nonzero(dist[i] <= eps)[0]
+        if neigh.size < min_samples:
+            labels[i] = NOISE
+            continue
+        labels[i] = cid
+        queue = deque(int(j) for j in neigh)
+        while queue:
+            j = queue.popleft()
+            if labels[j] == NOISE:
+                labels[j] = cid
+            if labels[j] != UNVISITED:
+                continue
+            labels[j] = cid
+            jn = np.nonzero(dist[j] <= eps)[0]
+            if jn.size >= min_samples:
+                queue.extend(int(m) for m in jn)
+        cid += 1
+    return labels.tolist()
+
+
+# the border point 1.0 is within eps of the cores 0.0 and 2.0, which lie in
+# two clusters; scanned first, it is noise until the first cluster claims it
+TWO_CORES_ONE_BORDER = ([1.0, -1.0, -0.75, -0.5, 0.0, 2.0, 2.5, 2.75, 3.0], 1.0, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=st.integers(1, 3).flatmap(lambda d: st.lists(
+           st.lists(st.integers(0, 6).map(float), min_size=d, max_size=d), min_size=1, max_size=40)),
+       eps=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), min_samples=st.integers(1, 6))
+@example(pts=[[x] for x in TWO_CORES_ONE_BORDER[0]], eps=TWO_CORES_ONE_BORDER[1],
+         min_samples=TWO_CORES_ONE_BORDER[2])
+def test_dbscan_labels_match_reference_loop(pts, eps, min_samples):
+    pts = np.array(pts)
+    known, noise = dbscan(pts, eps=eps, min_samples=min_samples)
+    got = [-1] * len(pts)
+    for c in known.clusters:
+        for sid in c.member_ids:
+            got[int(sid)] = c.id
+    assert got == reference_dbscan_labels(pts, eps, min_samples)
+    assert noise == [str(i) for i, label in enumerate(got) if label == -1]
+
+
+def test_dbscan_border_point_goes_to_first_cluster():
+    pts, eps, min_samples = TWO_CORES_ONE_BORDER
+    known, noise = dbscan(np.array(pts)[:, None], eps=eps, min_samples=min_samples)
+    assert noise == []
+    assert [c.member_ids for c in known.clusters] == [["0", "1", "2", "3", "4"],
+                                                      ["5", "6", "7", "8"]]
 
 
 def test_dbscan_parameter_validation():

@@ -263,3 +263,24 @@ def test_sweep_tau_runs_without_scipy(tmp_path, small_data):
             "--stream", str(tmp_path / "stream.csv"), "-o", str(tmp_path / "out")]
     assert scipy_modules_after(f"from famstream.cli import main\nassert main({argv!r}) == 0") == []
     assert (tmp_path / "out" / "tau_sweep.csv").exists()
+
+
+def test_result_bytes_do_not_depend_on_blas_threads(tmp_path, small_data):
+    corpus, stream = small_data
+    save_dataset(corpus, tmp_path / "corpus.csv")
+    save_dataset(stream, tmp_path / "stream.csv")
+    data = ["--corpus", str(tmp_path / "corpus.csv"), "--stream", str(tmp_path / "stream.csv")]
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(famstream.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        cwd = tmp_path / f"threads-{threads}"
+        cwd.mkdir()
+        for cmd in ("run", "baseline"):
+            # the same relative output path, which report.json echoes
+            subprocess.run([sys.executable, "-m", "famstream", cmd, *data, "--repeats", "2",
+                            "-o", cmd], cwd=cwd, env=env, check=True, stdout=subprocess.DEVNULL)
+            outputs[cmd, threads] = {p.relative_to(cwd).as_posix(): p.read_bytes()
+                                     for p in sorted((cwd / cmd).rglob("*")) if p.is_file()}
+    for cmd in ("run", "baseline"):
+        assert outputs[cmd, "1"] and outputs[cmd, "1"] == outputs[cmd, "2"]

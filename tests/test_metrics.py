@@ -162,21 +162,22 @@ def test_silhouette_isometry_invariance():
 LABEL_IDS = [-7, -1, 0, 3, 10, 1000]   # negative and non-contiguous cluster ids
 
 
-def expected_groups(labelings, chunk):
-    """Groups of consecutive labelings whose cluster counts total at most chunk."""
-    groups, width = 0, 0
-    for labels in labelings:
-        k = len(set(labels))
-        if groups == 0 or width + k > chunk:
-            groups, width = groups + 1, 0
-        width += k
-    return groups
+def spy_cdist():
+    return mock.patch.object(distance, "cdist", wraps=cdist)
+
+
+def assert_one_symmetric_pass(spy, n, block):
+    """One cdist per unordered pair of blocks, and about half the matrix."""
+    blocks = math.ceil(n / block)
+    assert spy.call_count == blocks * (blocks + 1) // 2
+    entries = sum(len(call.args[0]) * len(call.args[1]) for call in spy.call_args_list)
+    assert entries <= n * (n + block) / 2
 
 
 @st.composite
 def shared_pass_cases(draw):
-    chunk = draw(st.integers(1, 6))
-    n = draw(st.integers(2, 4 * chunk + 1))   # below, at and above multiples of chunk
+    block = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 4 * block + 1))   # below, at and above multiples of block
     d = draw(st.integers(1, 3))
     coord = st.one_of(
         st.integers(-2, 2).map(float),       # lattice: duplicate points, a = b = 0
@@ -187,49 +188,65 @@ def shared_pass_cases(draw):
         lambda labels: len(set(labels)) >= 2
     )
     labelings = draw(st.lists(labeling, min_size=1, max_size=6))
-    return chunk, points, labelings
+    return block, points, labelings
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=shared_pass_cases())
 def test_shared_pass_equals_each_alone_and_oracle(case):
-    chunk, points, labelings = case
-    with mock.patch.object(metrics, "_CHUNK", chunk), \
-            mock.patch.object(distance, "cdist", wraps=cdist) as spy:
+    block, points, labelings = case
+    with mock.patch.object(metrics, "_BLOCK", block), spy_cdist() as spy:
         together = mean_silhouette(points, labelings)
-        assert spy.call_count == expected_groups(labelings, chunk) * math.ceil(len(points) / chunk)
+        assert_one_symmetric_pass(spy, len(points), block)
         alone = [mean_silhouette(points, [labels])[0] for labels in labelings]
     assert together == alone
     for got, labels in zip(together, labelings):
         assert abs(got - naive_silhouette(points, labels)) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [255, 256, 257, 513])
+@pytest.mark.parametrize("n", [255, 256, 257, 512, 513])
 def test_shared_pass_at_chunk_boundaries(n):
     rng = np.random.default_rng(n)
     points = rng.normal(size=(n, 3))
     points[1] = points[0]
-    # 36 x 7 clusters fill one group of 252 columns; the labeling with
-    # min(n, 300) clusters, near or above _CHUNK, is a group of its own; the
-    # last four share a third.
     labelings = [rng.integers(0, 7, size=n) for _ in range(36)]
-    labelings.append(np.arange(n) % 300)
+    labelings.append(np.arange(n) % 300)   # more clusters than a block has rows
     labelings += [rng.integers(-5, 2, size=n) * 3 for _ in range(4)]
-    with mock.patch.object(distance, "cdist", wraps=cdist) as spy:
+    # clusters 9 and 8 hold only the first 100 and the last 50 points, so
+    # some blocks miss them
+    edges = rng.integers(0, 2, size=n)
+    edges[:100], edges[-50:] = 9, 8
+    labelings.append(edges)
+    with spy_cdist() as spy:
         together = mean_silhouette(points, labelings)
-    assert spy.call_count == 3 * math.ceil(n / metrics._CHUNK)
+    assert_one_symmetric_pass(spy, n, metrics._BLOCK)
     assert together == [mean_silhouette(points, [labels])[0] for labels in labelings]
-    for i in (0, 36, 40):
+    for i in (0, 36, 40, 41):
         assert abs(together[i] - naive_silhouette(points, labelings[i])) <= 1e-12
+
+
+@st.composite
+def block_pairs(draw):
+    """Two matrices of 0 to 300 rows (more than one block) with shared,
+    repeated rows, entries from 1e-150 to 1e150 in magnitude."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 2, 3, 5, 40]))
+    pool = rng.normal(size=(draw(st.integers(1, 50)), d)) * 10.0 ** rng.integers(-150, 151, size=d)
+    return tuple(pool[rng.integers(0, len(pool), size=draw(st.integers(0, 300)))] for _ in "AB")
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=block_pairs())
+def test_cdist_is_symmetric_bit_for_bit(pair):
+    # the symmetric pass reads cdist(X_J, X_I) off cdist(X_I, X_J).T
+    A, B = pair
+    assert cdist(A, B).tobytes() == np.ascontiguousarray(cdist(B, A).T).tobytes()
 
 
 def test_labelings_validated_before_the_pass():
     points = np.arange(12.0).reshape(6, 2)
     good = [0, 0, 1, 1, 2, 2]
-    # three clusters fill a group at _CHUNK = 3, so the bad labeling comes
-    # after a complete group
-    with mock.patch.object(metrics, "_CHUNK", 3), \
-            mock.patch.object(distance, "cdist", wraps=cdist) as spy:
+    with spy_cdist() as spy:
         with pytest.raises(ValueError, match="at least 2 clusters"):
             mean_silhouette(points, [good, good, [4] * 6])
         with pytest.raises(ValueError, match="6 points but 5 labels"):

@@ -12,9 +12,13 @@ source trees give byte-identical results when their outputs are equal:
     python tools/parity.py --src /path/to/parent/src > parent.txt
     diff parent.txt change.txt
 
-Result bytes depend on the BLAS thread count (fit_pca's covariance product
-is threaded), so OPENBLAS_NUM_THREADS and OMP_NUM_THREADS are pinned: to 1
-unless --threads says otherwise; `--threads default` leaves both unset.
+OPENBLAS_NUM_THREADS and OMP_NUM_THREADS are set to --threads (default 1);
+`--threads default` leaves both unset. Result bytes should not depend on
+them; `--compare-threads 1,2` runs everything at both settings, prints each
+result file whose bytes differ, and exits 1 if any do:
+
+    python tools/parity.py --compare-threads 1,2
+
 Commands run from a temporary directory with relative paths, so report.json
 holds the same paths on every machine.
 """
@@ -56,19 +60,14 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(SRC),
-                        help="source tree holding the famstream package (default: this repo's)")
-    parser.add_argument("--threads", default="1",
-                        help="BLAS thread count to pin, or 'default' (default: 1)")
-    args = parser.parse_args(argv)
-
-    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
+def result_digests(src: str, threads: str) -> tuple[str, dict[str, str]]:
+    """The BLAS thread setting and the sha256 of every result file, with the
+    famstream package taken from src and threads pinned as --threads says."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     for var in THREAD_VARS:
         env.pop(var, None)
-        if args.threads != "default":
-            env[var] = args.threads
+        if threads != "default":
+            env[var] = threads
     with tempfile.TemporaryDirectory(prefix="famstream-parity-") as tmp:
         work = Path(tmp)
         subprocess.run([sys.executable, "-c", MAKE_FIXTURES], cwd=work, env=env, check=True)
@@ -82,10 +81,37 @@ def main(argv=None) -> int:
                 cwd=work, env=env, check=True, stdout=subprocess.DEVNULL,
             )
         setting = " ".join(f"{var}={env[var]}" for var in THREAD_VARS if var in env)
-        print(f"# BLAS threads: {setting or 'default (unset)'}")
-        for path in sorted(p for p in work.glob("*/**/*") if p.is_file()):
-            print(f"{path.relative_to(work).as_posix()} {_sha256(path)}")
-    return 0
+        digests = {path.relative_to(work).as_posix(): _sha256(path)
+                   for path in sorted(p for p in work.glob("*/**/*") if p.is_file())}
+    return setting or "default (unset)", digests
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(SRC),
+                        help="source tree holding the famstream package (default: this repo's)")
+    parser.add_argument("--threads", default="1",
+                        help="BLAS thread count to pin, or 'default' (default: 1)")
+    parser.add_argument("--compare-threads", metavar="A,B",
+                        help="run at both thread settings and list the result files that differ")
+    args = parser.parse_args(argv)
+
+    if args.compare_threads is None:
+        setting, digests = result_digests(args.src, args.threads)
+        print(f"# BLAS threads: {setting}")
+        for path, digest in digests.items():
+            print(f"{path} {digest}")
+        return 0
+    settings = args.compare_threads.split(",")
+    if len(settings) != 2:
+        parser.error(f"--compare-threads takes two settings, got {args.compare_threads!r}")
+    (first, a), (second, b) = (result_digests(args.src, t) for t in settings)
+    differ = sorted(path for path in a.keys() | b.keys() if a.get(path) != b.get(path))
+    for path in differ:
+        print(path)
+    print(f"# {len(differ)} of {len(a.keys() | b.keys())} result files differ "
+          f"between BLAS threads {first} and {second}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
