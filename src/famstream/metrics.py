@@ -3,8 +3,8 @@
 Purity consumes ground-truth family labels and is used for evaluation only;
 it is never read by model selection. The silhouette coefficient (Rousseeuw,
 1987) is label-free and safe to use while tuning. mean_silhouette scores
-any number of labelings of one point set from a single pass over the
-pairwise distances, which dominates its cost.
+many labelings of one point set from each pass over the pairwise
+distances, which dominates its cost.
 
 The pass is symmetric: it splits the points into blocks and computes the
 distances of each unordered pair of blocks once, so it evaluates each
@@ -12,7 +12,8 @@ distance once, not twice. Each labeling sums those distances per cluster
 with plain numpy reductions in a fixed order, not with a matrix product,
 because a BLAS product's bits change with its thread count: the scores are
 the same bits at any thread count, and whichever other labelings share the
-pass.
+pass. Labelings share a pass in groups whose clusters total at most _GROUP,
+which bounds the memory of their per-cluster sums.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 _BLOCK = 256
+_GROUP = 512   # a group's sums take at most _GROUP x n doubles: 29 MB at n = 7000
 
 
 @dataclass(frozen=True)
@@ -101,18 +103,25 @@ def mean_silhouette(points, labelings: Sequence[Sequence]) -> list[float]:
     labeling needs at least two clusters; all are checked before any
     distance is computed.
 
-    All labelings share one pass over the pairwise distances, and a
-    labeling scores the same bits whichever others come with it: see
-    _cluster_sums.
+    Labelings share a pass over the pairwise distances in groups whose
+    clusters total at most _GROUP (a labeling with more clusters is a group
+    of its own), and a labeling scores the same bits whichever others come
+    with it: see _cluster_sums.
     """
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2:
         X = np.atleast_2d(X)
     encoded = [_encode_labels(labels, X.shape[0]) for labels in labelings]
-    if not encoded:
-        return []
-    sums = _cluster_sums(X, [lab for lab, _ in encoded])
-    return [float(_row_scores(S.T, lab, sizes).mean()) for S, (lab, sizes) in zip(sums, encoded)]
+    scores: list[float] = []
+    group: list[tuple[np.ndarray, np.ndarray]] = []
+    for lab, sizes in encoded:
+        if group and sum(len(s) for _, s in group) + len(sizes) > _GROUP:
+            scores.extend(_score_group(X, group))
+            group = []
+        group.append((lab, sizes))
+    if group:
+        scores.extend(_score_group(X, group))
+    return scores
 
 
 def _encode_labels(labels: Sequence, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,6 +134,11 @@ def _encode_labels(labels: Sequence, n: int) -> tuple[np.ndarray, np.ndarray]:
     if len(uniq) < 2:
         raise ValueError(f"silhouette needs at least 2 clusters, got {len(uniq)}")
     return lab, np.bincount(lab, minlength=len(uniq)).astype(np.float64)
+
+
+def _score_group(X: np.ndarray, group: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
+    sums = _cluster_sums(X, [lab for lab, _ in group])
+    return [float(_row_scores(S.T, lab, sizes).mean()) for S, (lab, sizes) in zip(sums, group)]
 
 
 def _cluster_sums(X: np.ndarray, labs: list[np.ndarray]) -> list[np.ndarray]:
@@ -153,10 +167,13 @@ def _cluster_sums(X: np.ndarray, labs: list[np.ndarray]) -> list[np.ndarray]:
     for bi, i in enumerate(starts):
         for bj, j in enumerate(starts[bi:], bi):
             dist = cdist(X[i:i + _BLOCK], X[j:j + _BLOCK])
+            # rows of a contiguous copy gather faster than rows of dist.T: worth
+            # the copy once more than one labeling reads them
+            dist_t = np.ascontiguousarray(dist.T) if len(labs) > 1 else dist.T
             for S, blocks in zip(sums, runs):
                 _add_runs(S[:, j:j + _BLOCK], dist, blocks[bi])
                 if bj != bi:
-                    _add_runs(S[:, i:i + _BLOCK], dist.T, blocks[bj])
+                    _add_runs(S[:, i:i + _BLOCK], dist_t, blocks[bj])
     return sums
 
 

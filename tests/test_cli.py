@@ -271,7 +271,7 @@ def test_result_bytes_do_not_depend_on_blas_threads(tmp_path, small_data):
     save_dataset(stream, tmp_path / "stream.csv")
     data = ["--corpus", str(tmp_path / "corpus.csv"), "--stream", str(tmp_path / "stream.csv")]
     outputs = {}
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4"):
         env = dict(os.environ, PYTHONPATH=str(Path(famstream.__file__).parents[1]),
                    OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         cwd = tmp_path / f"threads-{threads}"
@@ -283,4 +283,4 @@ def test_result_bytes_do_not_depend_on_blas_threads(tmp_path, small_data):
             outputs[cmd, threads] = {p.relative_to(cwd).as_posix(): p.read_bytes()
                                      for p in sorted((cwd / cmd).rglob("*")) if p.is_file()}
     for cmd in ("run", "baseline"):
-        assert outputs[cmd, "1"] and outputs[cmd, "1"] == outputs[cmd, "2"]
+        assert outputs[cmd, "1"] and outputs[cmd, "1"] == outputs[cmd, "2"] == outputs[cmd, "4"]

@@ -166,12 +166,25 @@ def spy_cdist():
     return mock.patch.object(distance, "cdist", wraps=cdist)
 
 
-def assert_one_symmetric_pass(spy, n, block):
-    """One cdist per unordered pair of blocks, and about half the matrix."""
+def group_count(labelings, limit):
+    """Runs of consecutive labelings whose cluster counts total at most limit
+    (a labeling over the limit is a run of its own)."""
+    groups, total = 0, 0
+    for labels in labelings:
+        k = len(set(np.asarray(labels).tolist()))
+        if groups == 0 or total + k > limit:
+            groups, total = groups + 1, 0
+        total += k
+    return groups
+
+
+def assert_symmetric_passes(spy, n, block, passes):
+    """Per pass, one cdist per unordered pair of blocks and about half the
+    matrix."""
     blocks = math.ceil(n / block)
-    assert spy.call_count == blocks * (blocks + 1) // 2
+    assert spy.call_count == passes * blocks * (blocks + 1) // 2
     entries = sum(len(call.args[0]) * len(call.args[1]) for call in spy.call_args_list)
-    assert entries <= n * (n + block) / 2
+    assert entries <= passes * n * (n + block) / 2
 
 
 @st.composite
@@ -188,16 +201,18 @@ def shared_pass_cases(draw):
         lambda labels: len(set(labels)) >= 2
     )
     labelings = draw(st.lists(labeling, min_size=1, max_size=6))
-    return block, points, labelings
+    group = draw(st.integers(2, 12))   # labelings have 2 to 6 clusters
+    return block, group, points, labelings
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=shared_pass_cases())
 def test_shared_pass_equals_each_alone_and_oracle(case):
-    block, points, labelings = case
-    with mock.patch.object(metrics, "_BLOCK", block), spy_cdist() as spy:
-        together = mean_silhouette(points, labelings)
-        assert_one_symmetric_pass(spy, len(points), block)
+    block, group, points, labelings = case
+    with mock.patch.object(metrics, "_BLOCK", block), mock.patch.object(metrics, "_GROUP", group):
+        with spy_cdist() as spy:
+            together = mean_silhouette(points, labelings)
+        assert_symmetric_passes(spy, len(points), block, group_count(labelings, group))
         alone = [mean_silhouette(points, [labels])[0] for labels in labelings]
     assert together == alone
     for got, labels in zip(together, labelings):
@@ -219,7 +234,9 @@ def test_shared_pass_at_chunk_boundaries(n):
     labelings.append(edges)
     with spy_cdist() as spy:
         together = mean_silhouette(points, labelings)
-    assert_one_symmetric_pass(spy, n, metrics._BLOCK)
+    passes = group_count(labelings, metrics._GROUP)
+    assert passes > 1   # the clusters total more than one group holds
+    assert_symmetric_passes(spy, n, metrics._BLOCK, passes)
     assert together == [mean_silhouette(points, [labels])[0] for labels in labelings]
     for i in (0, 36, 40, 41):
         assert abs(together[i] - naive_silhouette(points, labelings[i])) <= 1e-12

@@ -14,10 +14,10 @@ source trees give byte-identical results when their outputs are equal:
 
 OPENBLAS_NUM_THREADS and OMP_NUM_THREADS are set to --threads (default 1);
 `--threads default` leaves both unset. Result bytes should not depend on
-them; `--compare-threads 1,2` runs everything at both settings, prints each
+them; `--compare-threads 1,4` runs everything at both settings, prints each
 result file whose bytes differ, and exits 1 if any do:
 
-    python tools/parity.py --compare-threads 1,2
+    python tools/parity.py --compare-threads 1,4
 
 Commands run from a temporary directory with relative paths, so report.json
 holds the same paths on every machine.
