@@ -16,6 +16,7 @@ from .pipeline import (
     run_grid,
     run_pipeline,
     run_reference_baseline,
+    run_tau_sweep,
 )
 from .wknn import WKNNParams
 
@@ -33,6 +34,7 @@ __all__ = [
     "run_grid",
     "run_pipeline",
     "run_reference_baseline",
+    "run_tau_sweep",
     "save_dataset",
     "split_by_time",
 ]

@@ -95,9 +95,6 @@ class KnownClusters:
                 return c
         raise KeyError(f"no cluster with id {cluster_id}")
 
-    def centroids(self) -> np.ndarray:
-        return np.stack([c.centroid for c in self.clusters])
-
     def assignments(self) -> dict[str, int]:
         """sample id -> cluster id over all members."""
         out: dict[str, int] = {}
@@ -153,7 +150,7 @@ def kmeans_batch(
     from its former centroid. Nearest-centroid ties go to the lowest cluster
     id. Raises ValueError when k exceeds the number of distinct points.
     """
-    from scipy.spatial.distance import cdist  # as in metrics._score_group
+    from scipy.spatial.distance import cdist  # as in metrics._cluster_sums
 
     X = _as_points(points)
     ids = _default_ids(X.shape[0], ids)
@@ -195,7 +192,7 @@ def dbscan(
     of core points, grown in scan order, so border points join the first
     core cluster that reaches them. Deterministic for a fixed input order.
     """
-    from scipy.spatial.distance import cdist  # as in metrics._score_group
+    from scipy.spatial.distance import cdist  # as in metrics._cluster_sums
 
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")

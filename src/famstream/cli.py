@@ -16,20 +16,16 @@ from pathlib import Path
 
 from .batch import ClustererSpec
 from .data import DataFormatError, Dataset
-from .decision import sweep_tau
 from .pipeline import (
     ONLINE_ALGORITHMS,
     PipelineConfig,
-    build_known_model,
     check_data_shape,
-    fit_projection,
     grid_axes,
     load_inputs,
-    repeat_seed,
     run_grid,
     run_pipeline,
     run_reference_baseline,
-    transform_stream,
+    run_tau_sweep,
 )
 from .preprocess import apply_scaler, fit_scaler, select_feature_count
 from .report import (
@@ -79,7 +75,10 @@ def parse_int_list(text: str) -> list[int]:
             lo, hi = part.split("-", 1) if not part.startswith("-") else (part, "")
             if hi == "":
                 raise UsageError(f"bad integer range {part!r}")
-            out.extend(range(_int(lo, part), _int(hi, part) + 1))
+            lo, hi = _int(lo, part), _int(hi, part)
+            if lo > hi:
+                raise UsageError(f"reversed integer range {part!r}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(_int(part, part))
     if not out:
@@ -144,6 +143,11 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
             raise UsageError(f"cannot read config file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(base, dict):
+        raise UsageError("config file must hold a JSON object")
+    for key in ("wknn", "decision"):
+        if not isinstance(base.get(key, {}), dict):
+            raise UsageError(f"config field {key!r} must be a JSON object")
     merged = dict(base)
     wknn = dict(base.get("wknn", {}))
     decision = dict(base.get("decision", {}))
@@ -292,11 +296,7 @@ def cmd_baseline(args) -> int:
 def cmd_sweep_tau(args) -> int:
     config = build_config(args)
     taus = parse_float_list(args.taus)
-    corpus, stream = _load_for_model(config)
-    proj = fit_projection(corpus, stream, config.n_features)
-    known, ref = build_known_model(corpus, proj.corpus_z, config, repeat_seed(config.seed, 0))
-    z_stream = transform_stream(proj.scaler, proj.pca, stream)
-    sweep = sweep_tau(known, ref, config.wknn, z_stream, taus, dp=config.decision)
+    sweep = run_tau_sweep(config, taus, data=_load_for_model(config))
     outdir = _outdir(config)
     write_tau_sweep(outdir / "tau_sweep.csv", sweep)
     for point in sweep:
@@ -318,11 +318,13 @@ def _selection_specs(args, config: PipelineConfig) -> list[ClustererSpec]:
                 )
             )
         elif name == "dbscan":
+            eps, min_samples = args.dbscan_eps, args.dbscan_min_samples
+            if not 0 < eps < math.inf:
+                raise UsageError(f"--dbscan-eps must be finite and positive, got {eps}")
+            if min_samples < 1:
+                raise UsageError(f"--dbscan-min-samples must be >= 1, got {min_samples}")
             specs.append(
-                ClustererSpec(
-                    "dbscan", "dbscan",
-                    {"eps": args.dbscan_eps, "min_samples": args.dbscan_min_samples},
-                )
+                ClustererSpec("dbscan", "dbscan", {"eps": eps, "min_samples": min_samples})
             )
         elif name:
             raise UsageError(f"unknown clusterer {name!r}")
@@ -334,9 +336,15 @@ def _selection_specs(args, config: PipelineConfig) -> list[ClustererSpec]:
 def cmd_select_features(args) -> int:
     config = build_config(args)
     candidates = parse_int_list(args.candidates)
-    corpus, _ = _load(config)
-    scaled = apply_scaler(fit_scaler(corpus), corpus.matrix())
     specs = _selection_specs(args, config)
+    corpus, _ = _load(config)
+    limit = min(corpus.dim, len(corpus))
+    if not all(1 <= c <= limit for c in candidates):
+        raise UsageError(
+            f"--candidates must lie in [1, min(dim={corpus.dim}, corpus size={len(corpus)})], "
+            f"got {candidates}"
+        )
+    scaled = apply_scaler(fit_scaler(corpus), corpus.matrix())
     (best_count, best_name), table = select_feature_count(
         scaled, candidates, specs, seed=config.seed
     )

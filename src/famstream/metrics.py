@@ -38,26 +38,10 @@ class ClusterPurity:
 
 @dataclass
 class MetricsReport:
-    """Purity and silhouette results; either field may be absent."""
+    """Purity of a clustering, overall and per cluster."""
 
-    purity: float | None = None
-    mean_silhouette: float | None = None
+    purity: float
     per_cluster: list[ClusterPurity] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "purity": self.purity,
-            "mean_silhouette": self.mean_silhouette,
-            "per_cluster": [
-                {
-                    "cluster_id": c.cluster_id,
-                    "size": c.size,
-                    "purity": c.purity,
-                    "dominant_family": c.dominant_family,
-                }
-                for c in self.per_cluster
-            ],
-        }
 
 
 def purity(assignments: Mapping[str, int], labels: Mapping[str, str]) -> MetricsReport:

@@ -10,10 +10,8 @@ k-means, a pairwise-distance heuristic for the BSAS threshold).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -334,20 +332,6 @@ def final_assign(state, points) -> np.ndarray:
     centroids = _state_centroids(state)
     check_dim(centroids.shape[1], X.shape[1], "final_assign")
     return np.argmin(pair_dists(X, centroids), axis=1)
-
-
-def state_to_json(state, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(state.to_dict()) + "\n", encoding="utf-8")
-
-
-def state_from_json(path: str | Path):
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
-    kinds = {"okm": OKMState, "som": SOMState, "bsas": BSASState}
-    try:
-        cls = kinds[d["kind"]]
-    except KeyError:
-        raise ValueError(f"unknown state kind {d.get('kind')!r}") from None
-    return cls.from_dict(d)
 
 
 class StreamingClusterer:

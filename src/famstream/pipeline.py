@@ -1,19 +1,23 @@
 """End-to-end orchestration: preprocess, cluster the corpus, route the
 stream, online-cluster the new-family route, and score the result.
 
-run_pipeline, run_grid and run_reference_baseline share one core:
-fit_projection fits standard score and PCA on the corpus once per call,
-projects the corpus and rejects non-finite input; _routed_repeats, the one
+run_pipeline, run_grid, run_reference_baseline and run_tau_sweep share one
+core: fit_projection fits standard score and PCA on the corpus once per
+call, projects the corpus and rejects non-finite input; transform_stream
+projects the stream once per call, row by row; _routed_repeats, the one
 repeat loop, clusters the projected corpus with a batch SOM and routes each
-stream sample in chronological order (WKNN proposes a known cluster, the
-expansion rule accepts it or queues the sample for the online clusterer);
+projected stream sample in chronological order (WKNN proposes a known
+cluster, the expansion rule accepts it or queues the sample for the online
+clusterer);
 _cluster_cell runs one cell's online clusterer over one population, and
 _score_population scores every labeling of a population (purity each, and
 all silhouettes from one distance pass); _grid_cells runs a population's
 cells and then scores them together; summarize aggregates grid and baseline
 cells. run_pipeline is a grid with one cell plus known-population metrics
 and the first repeat's artifacts; run_reference_baseline feeds the unrouted
-corpus+stream to the same cells, all scored from one distance pass.
+corpus+stream to the same cells, all scored from one distance pass;
+run_tau_sweep replays the projected stream against repeat 0's known model
+once per tau.
 
 Routing never reads the online state, so clustering the new route after the
 routing pass is byte-identical to interleaving them sample by sample.
@@ -37,7 +41,7 @@ import numpy as np
 
 from .batch import KnownClusters, som_batch
 from .data import Dataset, Route, RouteAssignment, Sample, load_dataset, split_by_time
-from .decision import DecisionParams, route_sample
+from .decision import DecisionParams, TauSweepPoint, route_sample, sweep_tau
 from .metrics import mean_silhouette, purity
 from .online import StreamingClusterer, final_assign
 from .preprocess import PCAModel, ScalerModel, apply_scaler, fit_pca, fit_scaler, transform_pca
@@ -73,11 +77,13 @@ class PipelineConfig:
     def validate(self, require_paths: bool = True) -> None:
         if self.online_algorithm not in ONLINE_ALGORITHMS:
             raise ValueError(f"online_algorithm must be one of {ONLINE_ALGORITHMS}")
-        for name in ("n_features", "corpus_clusters", "online_clusters", "repeats"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.corpus_epochs < 0:
-            raise ValueError("corpus_epochs must be >= 0")
+        for name, low in (("n_features", 1), ("corpus_clusters", 1), ("corpus_epochs", 0),
+                          ("online_clusters", 1), ("repeats", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if self.bsas_theta is not None and not 0 < self.bsas_theta < math.inf:
             raise ValueError(f"bsas_theta must be finite and positive, got {self.bsas_theta}")
         if require_paths:
@@ -119,7 +125,8 @@ def load_inputs(config: PipelineConfig) -> tuple[Dataset, Dataset]:
 
     A separately supplied stream file is re-sorted chronologically when every
     sample carries first_seen; otherwise file order is trusted as arrival
-    order.
+    order. Raises ValueError naming the ids (up to 10) that a separate stream
+    file shares with the corpus.
     """
     config.validate()
     if config.data_path is not None and config.cutoff is not None:
@@ -127,6 +134,9 @@ def load_inputs(config: PipelineConfig) -> tuple[Dataset, Dataset]:
         return split_by_time(data, config.cutoff)
     corpus = load_dataset(config.corpus_path, config.fmt)
     stream = load_dataset(config.stream_path, config.fmt)
+    shared = sorted(set(corpus.ids()).intersection(stream.ids()))
+    if shared:
+        raise ValueError(f"corpus and stream share {len(shared)} sample id(s): {shared[:10]}")
     if stream.samples and all(s.first_seen is not None for s in stream.samples):
         ordered = sorted(stream.samples, key=lambda s: s.first_seen)
         stream = Dataset.from_samples(ordered, dim=stream.dim)
@@ -214,34 +224,24 @@ def transform_stream(
 
 
 def run_routing(
-    corpus: Dataset, stream: Dataset, proj: Projection, config: PipelineConfig, seed: int
+    corpus: Dataset, stream_z: Dataset, proj: Projection, config: PipelineConfig, seed: int
 ) -> RoutingPass:
-    """Cluster the projected corpus and route every stream sample."""
+    """Cluster the projected corpus and route every projected stream sample."""
     t0 = time.perf_counter()
     known, ref = build_known_model(corpus, proj.corpus_z, config, seed)
     t1 = time.perf_counter()
-
-    assignments: list[RouteAssignment] = []
-    new_ids: list[str] = []
-    new_rows: list[np.ndarray] = []
-    for sample in stream.samples:
-        z = transform_pca(proj.pca, apply_scaler(proj.scaler, sample.features))
-        assignment = route_sample(known, ref, config.wknn, config.decision, z, sample.id)
-        assignments.append(assignment)
-        if assignment.route is Route.NEW:
-            new_ids.append(sample.id)
-            new_rows.append(z)
+    assignments = [
+        route_sample(known, ref, config.wknn, config.decision, s.features, s.id)
+        for s in stream_z.samples
+    ]
     t2 = time.perf_counter()
-
-    new_points = (
-        np.stack(new_rows) if new_rows else np.empty((0, config.n_features), dtype=np.float64)
-    )
+    new = [s for s, a in zip(stream_z.samples, assignments) if a.route is Route.NEW]
     return RoutingPass(
         known=known,
         assignments=assignments,
-        new_ids=new_ids,
-        new_points=new_points,
-        stream_size=len(stream.samples),
+        new_ids=[s.id for s in new],
+        new_points=Dataset(new, stream_z.dim).matrix(),
+        stream_size=len(stream_z),
         timings={"corpus_clustering": t1 - t0, "wknn_total": t2 - t1},
     )
 
@@ -449,13 +449,18 @@ def _prepare(
 
 def _routed_repeats(
     corpus: Dataset, stream: Dataset, proj: Projection, config: PipelineConfig
-) -> Iterator[tuple[int, int, RoutingPass, float]]:
-    """Route the stream once per repeat; yields (repeat, base seed, routing,
-    perf_counter at the repeat's start)."""
+) -> Iterator[tuple[int, int, RoutingPass, float, float]]:
+    """Project the stream once, then route it once per repeat; yields (repeat,
+    base seed, routing, perf_counter at the repeat's start, preprocessing
+    seconds: the projections' in repeat 0, else 0)."""
+    t0 = time.perf_counter()
+    stream_z = transform_stream(proj.scaler, proj.pca, stream)
+    preprocess = proj.seconds + time.perf_counter() - t0
     for r in range(config.repeats):
         base = repeat_seed(config.seed, r)
         started = time.perf_counter()
-        yield r, base, run_routing(corpus, stream, proj, config, seed=base), started
+        routing = run_routing(corpus, stream_z, proj, config, seed=base)
+        yield r, base, routing, started, preprocess if r == 0 else 0.0
 
 
 def run_pipeline(config: PipelineConfig, data: tuple[Dataset, Dataset] | None = None) -> RunReport:
@@ -464,14 +469,15 @@ def run_pipeline(config: PipelineConfig, data: tuple[Dataset, Dataset] | None = 
     Each repeat is the grid cell (config.online_algorithm,
     config.online_clusters), plus known-population metrics; the first
     repeat also keeps its assignments and models. Unlike a grid cell, a
-    failing online stage raises. The one-time preprocessing is timed into
-    repeat 0's `preprocess` and `total`.
+    failing online stage raises. The one-time preprocessing (the corpus fit
+    and the stream projection) is timed into repeat 0's `preprocess` and
+    `total`.
     """
     corpus, stream, labels, proj = _prepare(config, data)
     repeats: list[RepeatResult] = []
     first_assignments: list[RouteAssignment] = []
     first_models: dict = {}
-    for r, base, routing, started in _routed_repeats(corpus, stream, proj, config):
+    for r, base, routing, started, preprocess in _routed_repeats(corpus, stream, proj, config):
         cell = _cluster_cell(
             routing.new_points, config.online_algorithm, config.online_clusters, base, config
         )
@@ -488,7 +494,6 @@ def run_pipeline(config: PipelineConfig, data: tuple[Dataset, Dataset] | None = 
         else:
             pur_known = sil_known = None
             skipped.append("known: metrics disabled")
-        preprocess = proj.seconds if r == 0 else 0.0
         repeats.append(
             RepeatResult(
                 repeat=r,
@@ -667,7 +672,7 @@ def run_grid(
     counts, algos = grid_axes(cluster_counts, algorithms)
     corpus, stream, labels, proj = _prepare(config, data)
     cells: list[GridCell] = []
-    for r, base, routing, _ in _routed_repeats(corpus, stream, proj, config):
+    for r, base, routing, *_ in _routed_repeats(corpus, stream, proj, config):
         axes = [(algo, count, r, base) for algo in algos for count in counts]
         cells += _grid_cells(routing.new_ids, routing.new_points, axes, config, labels)
     return GridResult(cells=cells, summary=summarize(cells, counts, algos))
@@ -692,11 +697,11 @@ def run_reference_baseline(
     counts, algos = grid_axes(cluster_counts, algorithms)
     corpus, stream, labels, proj = _prepare(config, data)
     ids = corpus.ids() + stream.ids()
-    # Routing projects each stream sample on its own (run_routing,
-    # transform_stream), the baseline the whole stream matrix at once. The two
-    # differ in the last bit, so neither may replace the other without
-    # changing results. Stacking corpus_z on the matrix projection gives the
-    # same bytes as projecting vstack(corpus, stream) in one product.
+    # Routing projects each stream sample on its own (transform_stream), the
+    # baseline the whole stream matrix at once. The two differ in the last
+    # bit, so neither may replace the other without changing results.
+    # Stacking corpus_z on the matrix projection gives the same bytes as
+    # projecting vstack(corpus, stream) in one product.
     stream_z = transform_pca(proj.pca, apply_scaler(proj.scaler, stream.matrix()))
     points = np.vstack([proj.corpus_z, stream_z])
     axes = [
@@ -707,3 +712,14 @@ def run_reference_baseline(
     ]
     cells = _grid_cells(ids, points, axes, config, labels)
     return GridResult(cells=cells, summary=summarize(cells, counts, algos))
+
+
+def run_tau_sweep(
+    config: PipelineConfig, taus, data: tuple[Dataset, Dataset] | None = None
+) -> list[TauSweepPoint]:
+    """New-route fraction of the stream per tau, each from the pristine known
+    model of repeat 0 (seed repeat_seed(config.seed, 0))."""
+    corpus, stream, _, proj = _prepare(config, data)
+    known, ref = build_known_model(corpus, proj.corpus_z, config, repeat_seed(config.seed, 0))
+    stream_z = transform_stream(proj.scaler, proj.pca, stream)
+    return sweep_tau(known, ref, config.wknn, stream_z, taus, dp=config.decision)

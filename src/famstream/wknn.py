@@ -33,6 +33,8 @@ class WKNNParams:
     weighting: str = "distance"
 
     def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.weighting not in WEIGHTINGS:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -39,6 +40,7 @@ def test_parse_int_list():
     assert parse_int_list("4-7") == [4, 5, 6, 7]
     assert parse_int_list("2,5,9") == [2, 5, 9]
     assert parse_int_list("4-5,8") == [4, 5, 8]
+    assert parse_int_list("8-8") == [8]
     with pytest.raises(UsageError):
         parse_int_list("")
     assert parse_float_list("-5,-2,0") == [-5.0, -2.0, 0.0]
@@ -49,7 +51,8 @@ def test_bad_cluster_counts_are_usage_errors(tmp_path, data_files, capsys):
         with pytest.raises(UsageError, match="bad integer"):
             parse_int_list(text)
     for cmd in ("grid", "baseline"):
-        for counts, message in (("x", "bad integer 'x'"), ("0", "got 0"), ("3,-1", "got -1")):
+        for counts, message in (("x", "bad integer 'x'"), ("0", "got 0"), ("3,-1", "got -1"),
+                                ("4,10-8", "reversed integer range '10-8'")):
             out = tmp_path / f"{cmd}-{counts}"
             assert main([cmd, "--data", str(data_files["combined"]), "--cutoff", "2018-11",
                          *BASE, "--cluster-counts", counts, "-o", str(out)]) == 1
@@ -179,7 +182,7 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, data_files, capsys):
     assert "bsas_theta must be finite and positive" in capsys.readouterr().err
 
 
-def test_data_errors_exit_2(tmp_path):
+def test_data_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert main(["run", "--corpus", str(missing), "--stream", str(missing)]) == 2
     bad = tmp_path / "bad.csv"
@@ -188,6 +191,58 @@ def test_data_errors_exit_2(tmp_path):
     dated = tmp_path / "dated.jsonl"
     dated.write_text('{"id": "x", "first_seen": 201811, "features": [1.0]}\n')
     assert main(["run", "--data", str(dated), "--cutoff", "2018-01"]) == 2
+    corpus, stream = make_corpus_and_stream(seed=31, dim=20, corpus_per_family=60,
+                                            stream_known_per_family=15,
+                                            stream_new_per_family=25)
+    shared = corpus.samples[7].id
+    stream.samples[3] = dataclasses.replace(stream.samples[3], id=shared)
+    save_dataset(corpus, tmp_path / "corpus.csv")
+    save_dataset(stream, tmp_path / "stream.csv")
+    out = tmp_path / "out"
+    assert main(["baseline", "--corpus", str(tmp_path / "corpus.csv"),
+                 "--stream", str(tmp_path / "stream.csv"), *BASE,
+                 "--cluster-counts", "4", "-o", str(out)]) == 2
+    assert f"corpus and stream share 1 sample id(s): ['{shared}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_shape_errors_exit_1(tmp_path, data_files, capsys):
+    data = ["--data", str(data_files["combined"]), "--cutoff", "2018-11"]
+    for config, message in (
+        ([1, 2], "config file must hold a JSON object"),
+        ({"wknn": 5}, "config field 'wknn' must be a JSON object"),
+        ({"decision": [0.5]}, "config field 'decision' must be a JSON object"),
+        ({"n_features": 10.5}, "n_features must be an integer, got 10.5"),
+        ({"corpus_epochs": True}, "corpus_epochs must be an integer, got True"),
+        ({"wknn": {"k": 2.5}}, "k must be an integer, got 2.5"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", *data, "--config", str(path), "-o", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_select_features_usage_errors_exit_1(tmp_path, data_files, monkeypatch, capsys):
+    def no_clustering(*args, **kwargs):
+        raise AssertionError("clustering ran")
+
+    monkeypatch.setattr(cli, "select_feature_count", no_clustering)
+    data = ["--data", str(data_files["combined"]), "--cutoff", "2018-11", *BASE]
+    # the combined fixture splits into a 240-row corpus in 20 dimensions
+    for flags, message in (
+        (["--candidates", "0"], "--candidates must lie in [1, min(dim=20, corpus size=240)]"),
+        (["--candidates", "4,500"], "got [4, 500]"),
+        (["--dbscan-min-samples", "0"], "--dbscan-min-samples must be >= 1, got 0"),
+        (["--dbscan-eps", "0"], "--dbscan-eps must be finite and positive, got 0.0"),
+        (["--dbscan-eps", "nan"], "--dbscan-eps must be finite and positive, got nan"),
+    ):
+        out = tmp_path / "out"
+        assert main(["select-features", *data, *flags, "-o", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_runtime_errors_exit_3(tmp_path, data_files, monkeypatch, capsys):

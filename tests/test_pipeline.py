@@ -52,7 +52,8 @@ def test_routing_decomposition(small_data):
     corpus, stream = small_data
     cfg = small_config()
     proj = fit_projection(corpus, stream, cfg.n_features)
-    routing = run_routing(corpus, stream, proj, cfg, seed=1)
+    stream_z = transform_stream(proj.scaler, proj.pca, stream)
+    routing = run_routing(corpus, stream_z, proj, cfg, seed=1)
     routes = {a.sample_id: a.route for a in routing.assignments}
     assert len(routes) == len(stream)
     n_new = sum(1 for r in routes.values() if r is Route.NEW)
@@ -75,6 +76,23 @@ def test_transform_stream_matches_manual(small_data):
     want = transform_pca(proj.pca, apply_scaler(proj.scaler, stream.samples[0].features))
     np.testing.assert_array_equal(z.samples[0].features, want)
     assert z.samples[0].id == stream.samples[0].id
+
+
+def test_run_pipeline_projects_each_sample_once(small_data, monkeypatch):
+    corpus, stream = small_data
+    rows = {"matrix": 0, "single": 0}
+    real = pipeline.transform_pca
+
+    def spy(model, x):
+        if np.ndim(x) == 1:
+            rows["single"] += 1
+        else:
+            rows["matrix"] += len(x)
+        return real(model, x)
+
+    monkeypatch.setattr(pipeline, "transform_pca", spy)
+    run_pipeline(small_config(repeats=3), data=(corpus, stream))
+    assert rows == {"matrix": len(corpus), "single": len(stream)}
 
 
 def test_run_pipeline_report_structure(small_data):
