@@ -14,15 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .online import final_assign, som_init, som_update
-from .points import PointBuffer, exact_dists
+from .points import PointBuffer
 
 
 class Cluster:
     """One known cluster: id, running-mean centroid, member points and ids.
 
     Members live in an append-only PointBuffer, so the streaming stage can
-    append accepted samples cheaply. The members' distances to the centroid
-    are cached until the centroid moves or a member joins.
+    append accepted samples cheaply; their squared norms and the largest of
+    them feed the witness test's distance rows to x and to the centroid.
     """
 
     def __init__(self, cluster_id: int, points, member_ids):
@@ -38,7 +38,6 @@ class Cluster:
         self._members = PointBuffer(pts)
         self.member_ids = member_ids
         self._centroid = pts.mean(axis=0)
-        self._centroid_dists: np.ndarray | None = None
 
     @property
     def count(self) -> int:
@@ -54,22 +53,19 @@ class Cluster:
         return self._members.sq_norms
 
     @property
+    def max_sq_norm(self) -> float:
+        return self._members.max_sq_norm
+
+    @property
     def centroid(self) -> np.ndarray:
         """Running mean of the members; only add_member moves it."""
         return self._centroid
-
-    def centroid_dists(self) -> np.ndarray:
-        """d(y, centroid) for every member y, as `points.exact_dists` gives it."""
-        if self._centroid_dists is None:
-            self._centroid_dists = exact_dists(self.member_points, self._centroid)
-        return self._centroid_dists
 
     def add_member(self, x, member_id: str, update_centroid: bool = True) -> None:
         """Append one member; optionally advance the running-mean centroid."""
         x = np.asarray(x, dtype=np.float64)
         self._members.append(x)
         self.member_ids.append(str(member_id))
-        self._centroid_dists = None
         if update_centroid:
             self._centroid = self._centroid + (x - self._centroid) / self.count
 
@@ -79,7 +75,6 @@ class Cluster:
         clone._members = copy.deepcopy(self._members, memo)
         clone.member_ids = list(self.member_ids)
         clone._centroid = self._centroid.copy()
-        clone._centroid_dists = self._centroid_dists
         return clone
 
 

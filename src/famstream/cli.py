@@ -98,7 +98,8 @@ def parse_float_list(text: str) -> list[float]:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, timings: bool = False) -> None:
+    """Data, model and output flags; --emit-timings only where timing files exist."""
     data = parser.add_argument_group("data")
     data.add_argument("--corpus", help="corpus dataset file (csv or jsonl)")
     data.add_argument("--stream", help="stream dataset file (csv or jsonl)")
@@ -130,8 +131,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
     out = parser.add_argument_group("output")
     out.add_argument("-o", "--output-dir")
-    out.add_argument("--emit-timings", action="store_true",
-                     help="also write wall-clock timing files (not byte-reproducible)")
+    if timings:
+        out.add_argument("--emit-timings", action="store_true",
+                         help="also write wall-clock timing files (not byte-reproducible)")
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
@@ -372,11 +374,11 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="full pipeline with repeats", parents=[])
-    _add_common(p_run)
+    _add_common(p_run, timings=True)
     p_run.set_defaults(func=cmd_run)
 
     p_grid = sub.add_parser("grid", help="online-algorithm x cluster-count grid")
-    _add_common(p_grid)
+    _add_common(p_grid, timings=True)
     p_grid.add_argument("--cluster-counts", default=DEFAULT_CLUSTER_COUNTS)
     p_grid.add_argument("--algorithms", default=",".join(ONLINE_ALGORITHMS))
     p_grid.set_defaults(func=cmd_grid)

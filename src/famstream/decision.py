@@ -7,11 +7,12 @@ past their current hull; negative tau admits only interior points and in
 particular rejects everything closer to the centroid than |tau| (no witness
 can exist there, by the triangle inequality).
 
-`accepts` takes every d(y, x) from one matrix-vector product
-(`points.sq_dists`), whose error bound tells which members' margins it can
-decide. Only members whose margin lies within that bound of zero are
-recomputed exactly, so the answer equals the exact rule's. The members'
-d(y, centroid) come from the cluster's cache when routing supplies them.
+`accepts` takes the members' d(y, centroid) and d(y, x) from two
+matrix-vector products (`points.sq_dists`), whose error bounds tell which
+members' margins it can decide. Only members whose margin lies within the
+two bounds of zero are recomputed exactly, so the answer equals the exact
+rule's. When even the farthest member plus tau falls clearly short of
+d(x, centroid), no member can witness and the d(y, x) row is never formed.
 """
 
 from __future__ import annotations
@@ -48,11 +49,39 @@ class DecisionParams:
             raise ValueError(f"tau must be finite, got {self.tau}")
 
 
-def accepts(members, centroid, x, tau: float, *, sq_norms=None, centroid_dists=None) -> bool:
-    """True when some member witnesses that x belongs to this cluster.
+def accepts(members, centroid, x, tau: float, *, sq_norms=None, max_sq_norm=None) -> bool:
+    """True when some member y witnesses that x belongs to this cluster:
+    d(y, c) + tau >= max(d(y, x), d(x, c)) with c the centroid, every d(y, .)
+    as `points.exact_dists` computes it and the sum rounded once.
 
-    sq_norms and centroid_dists, when given, must be the members' squared
-    norms and `points.exact_dists(members, centroid)`; a Cluster keeps both.
+    sq_norms and max_sq_norm, when given, must be the members' squared norms
+    and their maximum; a Cluster keeps both.
+
+    Why the bounds decide as the exact rule does. For one `sq_dists` row, with
+    n the dimension, u = EPS / 2, R = max|y| + |q| and err its bound,
+    a = sqrt(max(s, 0)) is within sqrt((n + 2) EPS) R + O(EPS R) of the exact
+    distance d. That stays below sqrt(err) by a room of at least
+    2 sqrt(EPS / (n + 6)) R - O(EPS R), about 4e-9 R at n = 40; each rounding
+    below costs a few u R and fits in it. Rounding is monotone and
+    D = max(d(y, x), d(x, c)) is a float, so the exact rule accepts y when
+    d(y, c) + tau >= D in real arithmetic and rejects it when
+    d(y, c) + tau < (1 - u) D, or < 0 if D = 0.
+
+    - Far exit: b = fl(max_y a(y, c) + sqrt(err_c)) is at least every
+      d(y, c), so fl(d(y, c) + tau) <= fl(b + tau) by monotonicity, and
+      fl(b + tau) < d(x, c) <= D rejects every member, whatever tau and |x|.
+    - Margins: m = fl(fl(a(y, c) + tau) - A), A = max(a(y, x), d(x, c)),
+      slack = sqrt(err_x) + sqrt(err_c). |A - D| <= |a(y, x) - d(y, x)|, so
+      before rounding m is within slack minus both rooms of d(y, c) + tau - D.
+      Its two roundings add at most u |m| + u |fl(a(y, c) + tau)|
+      <= 2u |m| + u A to first order: the rounding of `+ tau` grows with the
+      margin, not with |tau|. A <= R_x + R_c + sqrt(err_x), as
+      d(y, x) <= |y| + |x| and d(x, c) <= |x| + |c|. So m >= slack gives
+      d(y, c) + tau - D >= (rooms) - 2u slack - u A > 0, an exact accept, and
+      m < -slack gives d(y, c) + tau - (1 - u) D < 0, an exact reject.
+
+    Members with |m| < slack, or all of them when a bound overflowed to inf
+    or nan, are rechecked with exact d(y, c) and d(y, x).
     """
     M = np.asarray(members, dtype=np.float64)
     if M.ndim == 1:
@@ -65,24 +94,27 @@ def accepts(members, centroid, x, tau: float, *, sq_norms=None, centroid_dists=N
     check_dim(M.shape[1], centroid.shape[-1], "accepts")
     if sq_norms is None:
         sq_norms = np.einsum("ij,ij->i", M, M)
-    if centroid_dists is None:
-        centroid_dists = exact_dists(M, centroid)
+    if max_sq_norm is None:
+        max_sq_norm = float(sq_norms.max())
     d_xc = float(np.sqrt(np.sum((x - centroid) ** 2)))
-    reach = centroid_dists + tau
-    sq, err = sq_dists(M, sq_norms, x)
-    # sqrt(max(sq, 0)) is within sqrt(err) of the exact d(y, x), with room to
-    # spare for the roundings of the square roots and of the margin itself.
-    slack = math.sqrt(err)
-    margin = reach - np.maximum(np.sqrt(np.maximum(sq, 0.0)), d_xc)
+    sq, err_c = sq_dists(M, sq_norms, max_sq_norm, centroid)
+    d_yc = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
+    slack_c = math.sqrt(err_c)
+    if (float(d_yc.max()) + slack_c) + tau < d_xc:
+        return False
+    sq, err_x = sq_dists(M, sq_norms, max_sq_norm, x)
+    margin = d_yc + tau - np.maximum(np.sqrt(np.maximum(sq, 0.0)), d_xc)
+    slack = math.sqrt(err_x) + slack_c
     if margin.max() >= slack:
         return True
     # Margins below -slack are negative exactly too; `~(margin < -slack)`
-    # keeps every member when the bound overflowed to inf or nan.
+    # keeps every member when a bound overflowed to inf or nan.
     near = np.flatnonzero(~(margin < -slack))
     if near.size == 0:
         return False
-    d_yx = exact_dists(M[near], x)
-    return bool(np.any(reach[near] >= np.maximum(d_yx, d_xc)))
+    rows = M[near]
+    d_yx = exact_dists(rows, x)
+    return bool(np.any(exact_dists(rows, centroid) + tau >= np.maximum(d_yx, d_xc)))
 
 
 def route_sample(
@@ -109,7 +141,7 @@ def route_sample(
         x,
         dp.tau,
         sq_norms=cluster.sq_norms,
-        centroid_dists=cluster.centroid_dists(),
+        max_sq_norm=cluster.max_sq_norm,
     ):
         if dp.grow_members:
             cluster.add_member(x, sample_id, update_centroid=dp.update_centroids)

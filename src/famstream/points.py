@@ -1,7 +1,8 @@
 """Append-only point storage and the distance kernel routing runs on.
 
-PointBuffer keeps float64 points with their squared norms. It backs both the
-WKNN reference set and each known cluster's member list.
+PointBuffer keeps float64 points with their squared norms and the largest of
+those. It backs both the WKNN reference set and each known cluster's member
+list.
 
 `sq_dists` gives the squared distances from one query to every stored point
 as one matrix-vector product, s = |p|^2 - 2 p.x + |x|^2, together with a bound
@@ -27,7 +28,8 @@ EPS = float(np.finfo(np.float64).eps)
 
 
 class PointBuffer:
-    """Append-only (n, dim) float64 points and their squared norms.
+    """Append-only (n, dim) float64 points, their squared norms and the largest
+    squared norm, which `sq_dists` bounds its error with.
 
     Storage grows by capacity doubling, so appending one point is amortised
     O(dim). The buffer adopts the array it is built from; callers pass one
@@ -38,6 +40,7 @@ class PointBuffer:
         self._points = np.asarray(points, dtype=np.float64)
         self._sq_norms = np.einsum("ij,ij->i", self._points, self._points)
         self._n = self._points.shape[0]
+        self._max_sq_norm = float(self._sq_norms.max()) if self._n else 0.0
 
     def __len__(self) -> int:
         return self._n
@@ -54,6 +57,11 @@ class PointBuffer:
     def sq_norms(self) -> np.ndarray:
         return self._sq_norms[: self._n]
 
+    @property
+    def max_sq_norm(self) -> float:
+        """The largest squared norm, `sq_norms.max()`; 0.0 while empty."""
+        return self._max_sq_norm
+
     def append(self, x: np.ndarray) -> None:
         if self._n == self._points.shape[0]:
             capacity = max(8, 2 * self._n)
@@ -64,7 +72,9 @@ class PointBuffer:
             self._points, self._sq_norms = points, sq_norms
         row = self._points[self._n]
         row[:] = x
-        self._sq_norms[self._n] = row @ row
+        sq_norm = float(row @ row)
+        self._sq_norms[self._n] = sq_norm
+        self._max_sq_norm = max(self._max_sq_norm, sq_norm)
         self._n += 1
 
     def __deepcopy__(self, memo):
@@ -72,6 +82,7 @@ class PointBuffer:
         clone._points = self._points.copy()
         clone._sq_norms = self._sq_norms.copy()
         clone._n = self._n
+        clone._max_sq_norm = self._max_sq_norm
         return clone
 
 
@@ -85,11 +96,17 @@ def exact_dists(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def sq_dists(points: np.ndarray, sq_norms: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+def sq_dists(
+    points: np.ndarray, sq_norms: np.ndarray, max_sq_norm: float, x: np.ndarray
+) -> tuple[np.ndarray, float]:
     """Approximate squared distances from x to each row, and their error bound.
 
-    Returns (s, err): each s_i lies within err of the sum of squares whose
-    square root `exact_dists` returns for row i.
+    sq_norms are the rows' squared norms and max_sq_norm their maximum, as a
+    PointBuffer keeps them, so no call scans the rows for it. Returns
+    (s, err): each s_i lies within err of the sum of squares whose square
+    root `exact_dists` returns for row i. The -2 of the cross term is folded
+    into the query, points @ (-2 x): scaling by a power of two is exact, so s
+    has the bits of -2 (points @ x) + |p|^2 + |x|^2 without a pass over s.
 
     The bound, with u = EPS / 2, n the dot length and R = max|p| + |x|: a
     floating-point dot product or sum of squares of length n is within
@@ -110,11 +127,10 @@ def sq_dists(points: np.ndarray, sq_norms: np.ndarray, x: np.ndarray) -> tuple[n
     undecided, which falls back to the exact scan.
     """
     xx = float(x @ x)
-    s = points @ x
-    s *= -2.0
+    s = points @ (-2.0 * x)
     s += sq_norms
     s += xx
-    r = math.sqrt(float(sq_norms.max())) + math.sqrt(xx)
+    r = math.sqrt(max_sq_norm) + math.sqrt(xx)
     return s, (points.shape[1] + 6) * EPS * r * r
 
 

@@ -82,6 +82,10 @@ class ReferenceSet:
         return self._store.sq_norms
 
     @property
+    def max_sq_norm(self) -> float:
+        return self._store.max_sq_norm
+
+    @property
     def labels(self) -> list[int]:
         """The live label list, in insertion order; callers must not mutate it."""
         return self._labels
@@ -125,7 +129,7 @@ def classify(
     x = np.asarray(x, dtype=np.float64)
     check_dim(ref.dim, x.shape[-1], "classify")
     k = params.k
-    sq, err = sq_dists(ref.points, ref.sq_norms, x)
+    sq, err = sq_dists(ref.points, ref.sq_norms, ref.max_sq_norm, x)
     kth = np.partition(sq, k - 1)[k - 1]
     # Rows beyond kth + 2 err are strictly farther, after rounding, than each
     # of the k rows at or below kth, so they cannot be among the k nearest.

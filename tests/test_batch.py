@@ -1,3 +1,4 @@
+import copy
 import itertools
 from collections import deque
 
@@ -7,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from famstream.batch import Cluster, KnownClusters, dbscan, kmeans_batch, som_batch
-from famstream.points import exact_dists
 
 from conftest import blobs
 
@@ -261,6 +261,8 @@ def test_cluster_add_member_running_mean():
         c.add_member(np.array([float(i % 5), 1.0]), f"m{i}")
     np.testing.assert_allclose(c.centroid, c.member_points.mean(axis=0), atol=1e-9)
     assert c.count == 52 and len(c.member_ids) == 52
+    with pytest.raises(AttributeError):
+        c.centroid = np.zeros(2)
 
 
 @st.composite
@@ -270,7 +272,11 @@ def member_sequences(draw):
     rows = st.lists(coord, min_size=dim, max_size=dim)
     initial = draw(st.lists(rows, min_size=1, max_size=5))
     joins = draw(st.lists(st.tuples(rows, st.booleans()), max_size=40))
-    return np.array(initial), [(np.array(x), peek) for x, peek in joins]
+    return np.array(initial), [(np.array(x), fork) for x, fork in joins]
+
+
+def check_max_sq_norm(cluster: Cluster):
+    assert cluster.max_sq_norm == cluster.sq_norms.max()
 
 
 @settings(max_examples=200, deadline=None)
@@ -279,13 +285,18 @@ def test_cluster_centroid_tracks_member_mean(case, update):
     initial, joins = case
     cluster = Cluster(0, initial, [f"i{i}" for i in range(len(initial))])
     start = initial.mean(axis=0)
-    for i, (x, peek) in enumerate(joins):
-        if peek:
-            cluster.centroid_dists()  # fill the cache so the join must drop it
+    check_max_sq_norm(cluster)
+    for i, (x, fork) in enumerate(joins):
+        if fork:
+            # a copy grows on its own; the original keeps its maximum
+            clone = copy.deepcopy(cluster)
+            check_max_sq_norm(clone)
+            clone.add_member(x * 2.0, f"c{i}", update_centroid=update)
+            check_max_sq_norm(clone)
+            check_max_sq_norm(cluster)
+            assert clone.count == cluster.count + 1
         cluster.add_member(x, f"j{i}", update_centroid=update)
-        assert np.array_equal(
-            cluster.centroid_dists(), exact_dists(cluster.member_points, cluster.centroid)
-        )
+        check_max_sq_norm(cluster)
     if not update:
         assert np.array_equal(cluster.centroid, start)
         return

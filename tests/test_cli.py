@@ -163,6 +163,16 @@ def test_usage_errors_exit_1(tmp_path, data_files):
                  "--wknn-weighting", "cosine"]) == 1
 
 
+@pytest.mark.parametrize("cmd", ["baseline", "sweep-tau", "select-features"])
+def test_emit_timings_only_where_timing_files_exist(tmp_path, data_files, capsys, cmd):
+    out = tmp_path / "out"
+    code = main([cmd, "--data", str(data_files["combined"]), "--cutoff", "2018-11", *BASE,
+                 "--emit-timings", "-o", str(out)])
+    assert code == 1
+    assert "--emit-timings" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_numbers_are_usage_errors(tmp_path, data_files, capsys):
     data = ["--data", str(data_files["combined"]), "--cutoff", "2018-11", *BASE]
     for taus in ("nan", "inf,0", "0,-inf"):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
 from famstream import decision, wknn
-from famstream.batch import Cluster
 from famstream.data import Route
 from famstream.decision import DecisionParams, accepts, route_sample
 from famstream.pipeline import PipelineConfig, build_known_model, fit_projection, transform_stream
@@ -122,7 +121,7 @@ def test_sq_dists_within_bound(data, scale):
     points, x = data
     points, x = points * scale, x * scale
     buf = PointBuffer(points)
-    s, err = sq_dists(buf.points, buf.sq_norms, x)
+    s, err = sq_dists(buf.points, buf.sq_norms, buf.max_sq_norm, x)
     diff = points - x
     exact = np.einsum("ij,ij->i", diff, diff)
     assert np.all(np.abs(s - exact) <= err)
@@ -198,37 +197,76 @@ def test_decisions_far_from_the_origin():
             assert accepts(points, centroid, x, tau) == want
 
 
-def test_accepts_decides_from_the_bound_and_rechecks_near_zero(spy_exact):
+@st.composite
+def witness_cases(draw):
+    """Members, centroid, x and a tau within a few ulps of the tau at which
+    one member's margin is exactly 0, the value the exact rule turns on.
+
+    Points sit near the origin or 1e4 from it. Stretching x away from the
+    centroid gives tau up to +1e6 times the data scale; putting the witness
+    twice as far out as a stretched x, on its side, gives tau down to -1e6
+    times the scale. A fixed tau from 0 to 1e6 times the scale, either sign,
+    stands in for the constructed one some of the time.
+    """
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    offset = draw(st.sampled_from([0.0, 1e4]))
+    members = offset + scale * rng.normal(size=(n, d))
+    centroid = members.mean(axis=0)
+    x = offset + scale * rng.normal(size=d)
+    stretch = draw(st.sampled_from([1.0, 1e3, 1e6]))
+    x = centroid + stretch * (x - centroid)
+    w = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        members[w] = centroid + 2.0 * (x - centroid) + scale * rng.normal(size=d)
+    y = members[w]
+    dist = lambda a, b: float(np.sqrt(np.sum((a - b) ** 2)))  # noqa: E731
+    tau = max(dist(y, x), dist(x, centroid)) - dist(y, centroid)
+    for _ in range(draw(st.integers(0, 3))):
+        tau = float(np.nextafter(tau, draw(st.sampled_from([-np.inf, np.inf]))))
+    if draw(st.integers(0, 3)) == 0:
+        tau = draw(st.sampled_from([0.0, 1.0, 1e3, 1e6])) * scale * draw(st.sampled_from([-1, 1]))
+    return members, centroid, x, tau
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=witness_cases())
+def test_accepts_equals_full_matrix_near_zero_margins(case):
+    members, centroid, x, tau = case
+    assert accepts(members, centroid, x, tau) == full_matrix_accepts(members, centroid, x, tau)
+
+
+def test_accepts_decides_from_the_bound_and_rechecks_near_zero(spy_exact, monkeypatch):
     members = np.array([[0.0], [2.0]])
     centroid = np.array([1.0])
-    cached = np.array([1.0, 1.0])
+    rows = []  # one entry per bounded distance row: its query point
+    real = decision.sq_dists
+
+    def spy(points, sq_norms, max_sq_norm, q):
+        rows.append(float(q[0]))
+        return real(points, sq_norms, max_sq_norm, q)
+
+    monkeypatch.setattr(decision, "sq_dists", spy)
 
     def run(x, tau):
-        got = accepts(members, centroid, np.array([x]), tau, centroid_dists=cached)
+        rows.clear()
+        spy_exact["decision"].clear()
+        got = accepts(members, centroid, np.array([x]), tau)
         assert got == full_matrix_accepts(members, centroid, np.array([x]), tau)
-        return got, list(spy_exact["decision"])
+        return got, list(rows), list(spy_exact["decision"])
 
-    assert run(1.5, 0.0) == (True, [])  # margin 0.5: accepted from the bound
-    assert run(9.0, 0.0) == (False, [])  # margins <= -7: rejected from the bound
-    # y=2, x=3: d(y,c) + tau = 1 + tau against max(d(y,x), d(x,c)) = 2
-    assert run(3.0, 1.0) == (True, [1])  # margin exactly 0: rechecked, witness
-    assert run(3.0, 1.0 - 1e-12) == (False, [1, 1])  # just below 0: rechecked, none
-
-
-def test_cluster_caches_centroid_dists_until_state_changes():
-    cluster = Cluster(0, [[0.0, 0.0], [2.0, 0.0]], ["a", "b"])
-    first = cluster.centroid_dists()
-    assert cluster.centroid_dists() is first
-    cluster.add_member(np.array([1.0, 3.0]), "c", update_centroid=False)
-    np.testing.assert_array_equal(cluster.centroid_dists(), [1.0, 1.0, 3.0])
-    cluster.add_member(np.array([-1.0, 0.0]), "d")  # centroid moves to (0.5, 0)
-    np.testing.assert_array_equal(cluster.centroid_dists(), [0.5, 1.5, math.sqrt(9.25), 1.5])
-    clone = copy.deepcopy(cluster)
-    clone.add_member(np.array([4.0, 0.0]), "e")
-    assert cluster.count == 4 and len(cluster.centroid_dists()) == 4
-    np.testing.assert_array_equal(clone.sq_norms, [0.0, 4.0, 10.0, 1.0, 16.0])
-    with pytest.raises(AttributeError):
-        cluster.centroid = np.zeros(2)
+    # every d(y, c) is 1, so reach is 1 + tau
+    assert run(1.5, 0.0) == (True, [1.0, 1.5], [])  # margin 0.5: accepted from the bounds
+    # x at the centroid: reach 0.5 against d(y, x) = 1, margins -0.5: rejected from the bounds
+    assert run(1.0, -0.5) == (False, [1.0, 1.0], [])
+    # d(x, c) = 8 beats every reach: the far exit rejects before the d(y, x) row
+    assert run(9.0, 0.0) == (False, [1.0], [])
+    # y=2, x=3: reach 1 + tau against max(d(y,x), d(x,c)) = 2; y's d(y, x) and
+    # d(y, c) are both recomputed
+    assert run(3.0, 1.0) == (True, [1.0, 3.0], [1, 1])  # margin exactly 0: witness
+    assert run(3.0, 1.0 - 1e-12) == (False, [1.0, 3.0], [1, 1])  # just below 0: none
 
 
 def old_replay(known, ref, params, dp, stream):
@@ -257,6 +295,10 @@ def old_replay(known, ref, params, dp, stream):
     return routes, members, member_ids, centroids, ref_points, ref_labels
 
 
+# How much of the small fixture's stream each tau accepts, in every growth mode
+REPLAY_TAUS = {-5.0: "none", -0.5: "some", 0.0: "some", 5.0: "all"}
+
+
 @pytest.mark.parametrize(
     "grow_reference,grow_members,update_centroids",
     list(itertools.product([True, False], repeat=3)),
@@ -266,23 +308,27 @@ def test_routing_replay_matches_full_scan(small_data, grow_reference, grow_membe
     corpus, stream = small_data
     config = PipelineConfig(n_features=10, corpus_epochs=2, seed=5)
     proj = fit_projection(corpus, stream, config.n_features)
-    known, ref = build_known_model(corpus, proj.corpus_z, config, seed=config.seed)
+    start = build_known_model(corpus, proj.corpus_z, config, seed=config.seed)
     z_stream = transform_stream(proj.scaler, proj.pca, stream)
-    dp = DecisionParams(tau=-0.5, grow_reference=grow_reference, grow_members=grow_members,
-                        update_centroids=update_centroids)
-    want = old_replay(known, ref, config.wknn, dp, z_stream)
+    n = len(z_stream.samples)
+    for tau, share in REPLAY_TAUS.items():
+        known, ref = copy.deepcopy(start)
+        dp = DecisionParams(tau=tau, grow_reference=grow_reference, grow_members=grow_members,
+                            update_centroids=update_centroids)
+        want = old_replay(known, ref, config.wknn, dp, z_stream)
 
-    routes = []
-    for sample in z_stream.samples:
-        out = route_sample(known, ref, config.wknn, dp, sample.features, sample.id)
-        routes.append((out.route, out.cluster_id))
-    want_routes, members, member_ids, centroids, ref_points, ref_labels = want
-    assert routes == want_routes
-    assert 0 < sum(r is Route.KNOWN for r, _ in routes) < len(routes)
-    for c in known.clusters:
-        np.testing.assert_array_equal(c.member_points, members[c.id])
-        assert c.member_ids == member_ids[c.id]
-        np.testing.assert_array_equal(c.centroid, centroids[c.id])
-    np.testing.assert_array_equal(ref.points, ref_points)
-    assert ref.labels == ref_labels
+        routes = []
+        for sample in z_stream.samples:
+            out = route_sample(known, ref, config.wknn, dp, sample.features, sample.id)
+            routes.append((out.route, out.cluster_id))
+        want_routes, members, member_ids, centroids, ref_points, ref_labels = want
+        assert routes == want_routes
+        accepted = sum(r is Route.KNOWN for r, _ in routes)
+        assert share == ("none" if accepted == 0 else "all" if accepted == n else "some")
+        for c in known.clusters:
+            np.testing.assert_array_equal(c.member_points, members[c.id])
+            assert c.member_ids == member_ids[c.id]
+            np.testing.assert_array_equal(c.centroid, centroids[c.id])
+        np.testing.assert_array_equal(ref.points, ref_points)
+        assert ref.labels == ref_labels
 
