@@ -1,13 +1,13 @@
 """Batch clustering of the initial corpus: k-means, DBSCAN, and batch SOM.
 
 All three return KnownClusters, the structure the streaming stage routes
-against: integer cluster ids, member points, and centroids kept equal to the
-member mean. Ids default to stringified point indices when none are given.
+against: Clusters, each a `points.PointBuffer` of member points labeled by
+sample id, with an integer cluster id and a centroid kept equal to the member
+mean. Sample ids default to stringified point indices when none are given.
 """
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -17,44 +17,21 @@ from .online import final_assign, som_init, som_update
 from .points import PointBuffer
 
 
-class Cluster:
-    """One known cluster: id, running-mean centroid, member points and ids.
+class Cluster(PointBuffer):
+    """One known cluster: an id, a running-mean centroid, and its member
+    points labeled by sample id.
 
-    Members live in an append-only PointBuffer, so the streaming stage can
-    append accepted samples cheaply; their squared norms and the largest of
-    them feed the witness test's distance rows to x and to the centroid.
+    The streaming stage appends accepted samples with `add_member`; the
+    members' squared norms and the largest of them feed the witness test's
+    distance rows to x and to the centroid.
     """
 
     def __init__(self, cluster_id: int, points, member_ids):
-        pts = np.array(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        if pts.shape[0] == 0:
+        super().__init__(points, [str(m) for m in member_ids])
+        if len(self) == 0:
             raise ValueError("a cluster must have at least one member")
-        member_ids = [str(m) for m in member_ids]
-        if len(member_ids) != pts.shape[0]:
-            raise ValueError(f"{pts.shape[0]} points but {len(member_ids)} member ids")
         self.id = int(cluster_id)
-        self._members = PointBuffer(pts)
-        self.member_ids = member_ids
-        self._centroid = pts.mean(axis=0)
-
-    @property
-    def count(self) -> int:
-        return len(self._members)
-
-    @property
-    def member_points(self) -> np.ndarray:
-        return self._members.points
-
-    @property
-    def sq_norms(self) -> np.ndarray:
-        """Squared norm of each member point."""
-        return self._members.sq_norms
-
-    @property
-    def max_sq_norm(self) -> float:
-        return self._members.max_sq_norm
+        self._centroid = self.points.mean(axis=0)
 
     @property
     def centroid(self) -> np.ndarray:
@@ -64,18 +41,9 @@ class Cluster:
     def add_member(self, x, member_id: str, update_centroid: bool = True) -> None:
         """Append one member; optionally advance the running-mean centroid."""
         x = np.asarray(x, dtype=np.float64)
-        self._members.append(x)
-        self.member_ids.append(str(member_id))
+        self.add(x, str(member_id))
         if update_centroid:
-            self._centroid = self._centroid + (x - self._centroid) / self.count
-
-    def __deepcopy__(self, memo):
-        clone = Cluster.__new__(Cluster)
-        clone.id = self.id
-        clone._members = copy.deepcopy(self._members, memo)
-        clone.member_ids = list(self.member_ids)
-        clone._centroid = self._centroid.copy()
-        return clone
+            self._centroid = self._centroid + (x - self._centroid) / len(self)
 
 
 @dataclass
@@ -94,14 +62,14 @@ class KnownClusters:
         """sample id -> cluster id over all members."""
         out: dict[str, int] = {}
         for c in self.clusters:
-            for sid in c.member_ids:
+            for sid in c.labels:
                 out[sid] = c.id
         return out
 
     def to_dict(self) -> dict:
         return {
             "clusters": [
-                {"id": c.id, "centroid": c.centroid.tolist(), "member_ids": list(c.member_ids)}
+                {"id": c.id, "centroid": c.centroid.tolist(), "member_ids": list(c.labels)}
                 for c in self.clusters
             ]
         }
@@ -239,21 +207,16 @@ def dbscan(
 
 
 def som_batch(
-    points,
-    k_units: int,
-    epochs: int = 5,
-    seed: int = 0,
-    ids=None,
-    alpha0: float = 0.5,
-    sigma0: float | None = None,
+    points, k_units: int, epochs: int = 5, seed: int = 0, ids=None
 ) -> KnownClusters:
     """Cluster by training the online SOM over shuffled epochs.
 
     Runs `epochs` seeded-shuffle passes of the stream update over the
     points, then assigns each point to its best-matching unit. Units that
     win nothing are dropped and surviving cluster ids are renumbered
-    densely; centroids are recomputed as member means. epochs=0 assigns by
-    the initial random weights, still a valid partition.
+    densely; centroids are recomputed as member means. The learning rate and
+    radius start at `som_init`'s defaults and decay over all epochs' steps.
+    epochs=0 assigns by the initial random weights, still a valid partition.
     """
     X = _as_points(points)
     ids = _default_ids(X.shape[0], ids)
@@ -262,16 +225,8 @@ def som_batch(
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     rng = np.random.default_rng(seed)
-    horizon = max(1, epochs * X.shape[0])
-    state = som_init(
-        k_units,
-        X.shape[1],
-        seed=rng,
-        alpha0=alpha0,
-        sigma0=sigma0,
-        lambda_alpha=float(horizon),
-        lambda_sigma=float(horizon),
-    )
+    horizon = float(max(1, epochs * X.shape[0]))
+    state = som_init(k_units, X.shape[1], seed=rng, lambda_alpha=horizon, lambda_sigma=horizon)
     for _ in range(epochs):
         for x in X[rng.permutation(X.shape[0])]:
             som_update(state, x)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,8 +46,13 @@ class DecisionParams:
     grow_members: bool = True
 
     def __post_init__(self):
+        if isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real):
+            raise ValueError(f"tau must be a number, got {self.tau!r}")
         if not np.isfinite(self.tau):
             raise ValueError(f"tau must be finite, got {self.tau}")
+        for name in ("update_centroids", "grow_reference", "grow_members"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
 def accepts(members, centroid, x, tau: float, *, sq_norms=None, max_sq_norm=None) -> bool:
@@ -55,7 +61,7 @@ def accepts(members, centroid, x, tau: float, *, sq_norms=None, max_sq_norm=None
     as `points.exact_dists` computes it and the sum rounded once.
 
     sq_norms and max_sq_norm, when given, must be the members' squared norms
-    and their maximum; a Cluster keeps both.
+    and their maximum; a Cluster, like every PointBuffer, keeps both.
 
     Why the bounds decide as the exact rule does. For one `sq_dists` row, with
     n the dimension, u = EPS / 2, R = max|y| + |q| and err its bound,
@@ -136,7 +142,7 @@ def route_sample(
     label, _ = classify(ref, params, x)
     cluster = known.cluster_by_id(label)
     if accepts(
-        cluster.member_points,
+        cluster.points,
         cluster.centroid,
         x,
         dp.tau,

@@ -354,7 +354,6 @@ class StreamingClusterer:
         seed: int = 0,
         expected_stream_length: int | None = None,
         bsas_theta: float | None = None,
-        som_alpha0: float = 0.5,
     ):
         if algorithm not in ("okm", "som", "bsas"):
             raise ValueError(f"unknown online algorithm {algorithm!r}")
@@ -370,14 +369,9 @@ class StreamingClusterer:
         self._seen: set[tuple] = set()
         self._finalized = False
         if algorithm == "som":
-            horizon = float(expected_stream_length or 1000)
+            horizon = max(float(expected_stream_length or 1000), 1.0)
             self.state = som_init(
-                n_clusters,
-                dim,
-                seed=seed,
-                alpha0=som_alpha0,
-                lambda_alpha=max(horizon, 1.0),
-                lambda_sigma=max(horizon, 1.0),
+                n_clusters, dim, seed=seed, lambda_alpha=horizon, lambda_sigma=horizon
             )
         elif algorithm == "bsas" and bsas_theta is not None:
             self.state = bsas_init(bsas_theta, n_clusters)

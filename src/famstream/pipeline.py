@@ -33,6 +33,7 @@ byte-reproducible for a fixed master seed.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
@@ -84,8 +85,17 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        if self.bsas_theta is not None and not 0 < self.bsas_theta < math.inf:
-            raise ValueError(f"bsas_theta must be finite and positive, got {self.bsas_theta}")
+        theta = self.bsas_theta
+        if theta is not None and (isinstance(theta, bool) or not isinstance(theta, numbers.Real)
+                                  or not 0 < theta < math.inf):
+            raise ValueError(f"bsas_theta must be finite and positive, got {theta!r}")
+        for name in ("compute_known_metrics", "compute_silhouette"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for name in ("corpus_path", "stream_path", "data_path", "cutoff", "fmt", "output_dir"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string or null, got {value!r}")
         if require_paths:
             has_pair = self.corpus_path is not None and self.stream_path is not None
             has_split = self.data_path is not None and self.cutoff is not None
@@ -372,9 +382,9 @@ def _known_population(known: KnownClusters) -> tuple[list[str], np.ndarray, list
     blocks: list[np.ndarray] = []
     cluster_ids: list[int] = []
     for cluster in known.clusters:
-        ids.extend(cluster.member_ids)
-        blocks.append(cluster.member_points)
-        cluster_ids.extend([cluster.id] * cluster.count)
+        ids.extend(cluster.labels)
+        blocks.append(cluster.points)
+        cluster_ids.extend([cluster.id] * len(cluster))
     return ids, np.vstack(blocks), cluster_ids
 
 

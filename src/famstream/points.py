@@ -1,8 +1,8 @@
-"""Append-only point storage and the distance kernel routing runs on.
+"""The labeled point store and the distance kernel routing runs on.
 
-PointBuffer keeps float64 points with their squared norms and the largest of
-those. It backs both the WKNN reference set and each known cluster's member
-list.
+PointBuffer keeps float64 points, one label per point, their squared norms
+and the largest of those. It is the WKNN reference set (labels are cluster
+ids) and each known cluster's member list (labels are sample ids).
 
 `sq_dists` gives the squared distances from one query to every stored point
 as one matrix-vector product, s = |p|^2 - 2 p.x + |x|^2, together with a bound
@@ -20,27 +20,44 @@ routing path needs numpy alone and still returns scipy's bits.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
+
+from .data import check_dim
 
 EPS = float(np.finfo(np.float64).eps)
 
 
 class PointBuffer:
-    """Append-only (n, dim) float64 points, their squared norms and the largest
-    squared norm, which `sq_dists` bounds its error with.
+    """Append-only labeled points: (n, dim) float64 rows, `labels` with one
+    entry per row, the rows' squared norms and the largest squared norm,
+    which `sq_dists` bounds its error with.
 
-    Storage grows by capacity doubling, so appending one point is amortised
-    O(dim). The buffer adopts the array it is built from; callers pass one
-    they no longer modify.
+    Built from a copy of the given rows. `labels` is the live list in
+    insertion order; callers must not mutate it. Storage grows by capacity
+    doubling, so `add` is amortised O(dim). A deep copy copies every array and
+    list the store or a subclass holds, so copies grow independently.
     """
 
-    def __init__(self, points: np.ndarray):
-        self._points = np.asarray(points, dtype=np.float64)
-        self._sq_norms = np.einsum("ij,ij->i", self._points, self._points)
-        self._n = self._points.shape[0]
+    def __init__(self, points, labels, dim: int | None = None):
+        pts = np.array(points, dtype=np.float64)
+        if pts.ndim == 1:
+            pts = pts[None, :]
+        name = type(self).__name__
+        if pts.ndim != 2:
+            raise ValueError(f"{name} needs an (n, dim) point array, got shape {pts.shape}")
+        labels = list(labels)
+        if len(labels) != pts.shape[0]:
+            raise ValueError(f"{pts.shape[0]} points but {len(labels)} labels")
+        if dim is not None:
+            check_dim(int(dim), pts.shape[1], name)
+        self._points = pts
+        self._sq_norms = np.einsum("ij,ij->i", pts, pts)
+        self._n = pts.shape[0]
         self._max_sq_norm = float(self._sq_norms.max()) if self._n else 0.0
+        self.labels = labels
 
     def __len__(self) -> int:
         return self._n
@@ -62,7 +79,10 @@ class PointBuffer:
         """The largest squared norm, `sq_norms.max()`; 0.0 while empty."""
         return self._max_sq_norm
 
-    def append(self, x: np.ndarray) -> None:
+    def add(self, x, label) -> None:
+        """Append one labeled point."""
+        x = np.asarray(x, dtype=np.float64)
+        check_dim(self.dim, x.shape[-1], f"{type(self).__name__}.add")
         if self._n == self._points.shape[0]:
             capacity = max(8, 2 * self._n)
             points = np.empty((capacity, self.dim))
@@ -76,13 +96,14 @@ class PointBuffer:
         self._sq_norms[self._n] = sq_norm
         self._max_sq_norm = max(self._max_sq_norm, sq_norm)
         self._n += 1
+        self.labels.append(label)
 
     def __deepcopy__(self, memo):
-        clone = PointBuffer.__new__(PointBuffer)
-        clone._points = self._points.copy()
-        clone._sq_norms = self._sq_norms.copy()
-        clone._n = self._n
-        clone._max_sq_norm = self._max_sq_norm
+        # labels are ints or strings, so a shallow list copy is a deep one
+        clone = copy.copy(self)
+        for name, value in vars(self).items():
+            if isinstance(value, (np.ndarray, list)):
+                setattr(clone, name, value.copy())
         return clone
 
 

@@ -210,7 +210,7 @@ def select_feature_count(
 def _labels_from_clusters(known, n: int) -> list[int]:
     labels = [-1] * n
     for cluster in known.clusters:
-        for sid in cluster.member_ids:
+        for sid in cluster.labels:
             labels[int(sid)] = cluster.id
     if any(l == -1 for l in labels):
         raise ValueError("clusterer left points unassigned")  # e.g. DBSCAN noise

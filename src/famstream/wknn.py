@@ -1,15 +1,15 @@
 """Distance-weighted k-nearest-neighbor classification (Dudani weighting).
 
-The reference set carries the clustered corpus: each point is labeled with
-its cluster id. Neighbor search scans every reference point once per query
-with one matrix-vector product (`points.sq_dists`), then computes exact
-distances only for the rows that can still be among the k nearest. The
-neighbors, their order and the vote are those of an exact full sort.
+The reference set carries the clustered corpus: a `points.PointBuffer` whose
+labels are the points' cluster ids. Neighbor search scans every reference
+point once per query with one matrix-vector product (`points.sq_dists`), then
+computes exact distances only for the rows that can still be among the k
+nearest. The neighbors, their order and the vote are those of an exact full
+sort.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +41,9 @@ class WKNNParams:
             raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
 
 
-class ReferenceSet:
-    """Labeled points backing the classifier; grows as the stream is accepted.
+class ReferenceSet(PointBuffer):
+    """The classifier's labeled points, labels being cluster ids; grows as
+    the stream is accepted.
 
     Append-only. Many readers may classify concurrently; additions must be
     exclusive.
@@ -52,57 +53,12 @@ class ReferenceSet:
         if points is None:
             if dim is None:
                 raise ValueError("an empty ReferenceSet needs an explicit dim")
-            self._store = PointBuffer(np.empty((0, int(dim))))
-            self._labels: list[int] = []
-            return
-        pts = np.array(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        labels = [int(l) for l in (labels or [])]
-        if len(labels) != pts.shape[0]:
-            raise ValueError(f"{pts.shape[0]} points but {len(labels)} labels")
-        if dim is not None:
-            check_dim(int(dim), pts.shape[1], "ReferenceSet")
-        self._store = PointBuffer(pts)
-        self._labels = labels
+            points = np.empty((0, int(dim)))
+        super().__init__(points, [int(l) for l in (labels or [])], dim)
 
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def dim(self) -> int:
-        return self._store.dim
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._store.points
-
-    @property
-    def sq_norms(self) -> np.ndarray:
-        return self._store.sq_norms
-
-    @property
-    def max_sq_norm(self) -> float:
-        return self._store.max_sq_norm
-
-    @property
-    def labels(self) -> list[int]:
-        """The live label list, in insertion order; callers must not mutate it."""
-        return self._labels
-
-    def add(self, x, label: int) -> "ReferenceSet":
+    def add(self, x, label: int) -> None:
         """Append one labeled point; later queries may select it."""
-        x = np.asarray(x, dtype=np.float64)
-        check_dim(self.dim, x.shape[-1], "ReferenceSet.add")
-        self._store.append(x)
-        self._labels.append(int(label))
-        return self
-
-    def __deepcopy__(self, memo):
-        clone = ReferenceSet.__new__(ReferenceSet)
-        clone._store = copy.deepcopy(self._store, memo)
-        clone._labels = list(self._labels)
-        return clone
+        super().add(x, int(label))
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "points": self.points.tolist(), "labels": self.labels}

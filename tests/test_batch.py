@@ -16,16 +16,16 @@ def validate_known(known: KnownClusters):
     """Check the structural invariants every batch result must satisfy."""
     seen = set()
     for c in known.clusters:
-        assert c.count >= 1
-        np.testing.assert_allclose(c.centroid, c.member_points.mean(axis=0), atol=1e-9)
-        for sid in c.member_ids:
+        assert len(c) >= 1
+        np.testing.assert_allclose(c.centroid, c.points.mean(axis=0), atol=1e-9)
+        for sid in c.labels:
             assert sid not in seen
             seen.add(sid)
 
 
 def wcss(known: KnownClusters) -> float:
     return sum(
-        float(((c.member_points - c.centroid) ** 2).sum()) for c in known.clusters
+        float(((c.points - c.centroid) ** 2).sum()) for c in known.clusters
     )
 
 
@@ -88,7 +88,7 @@ def test_kmeans_deterministic_for_seed():
     b = kmeans_batch(pts, k=4, seed=9)
     for ca, cb in zip(a.clusters, b.clusters):
         np.testing.assert_array_equal(ca.centroid, cb.centroid)
-        assert ca.member_ids == cb.member_ids
+        assert ca.labels == cb.labels
 
 
 def brute_force_dbscan_partition(pts, eps, min_samples):
@@ -128,7 +128,7 @@ def test_dbscan_two_blobs_brute_force():
     validate_known(known)
     assert len(known.clusters) == 2 and noise == []
     got_partition = {
-        frozenset(int(sid) for sid in c.member_ids) for c in known.clusters
+        frozenset(int(sid) for sid in c.labels) for c in known.clusters
     }
     want_partition, core = brute_force_dbscan_partition(pts, 2.0, 5)
     assert core == set(range(40))  # everything is core here
@@ -150,7 +150,7 @@ def test_dbscan_core_partition_permutation_invariant():
         perm = rng.permutation(len(pts))
         known, _ = dbscan(pts[perm], eps=1.5, min_samples=4, ids=[str(i) for i in perm])
         got_core_partition = {
-            frozenset(int(sid) for sid in c.member_ids if int(sid) in core)
+            frozenset(int(sid) for sid in c.labels if int(sid) in core)
             for c in known.clusters
         }
         got_core_partition.discard(frozenset())
@@ -204,7 +204,7 @@ def test_dbscan_labels_match_reference_loop(pts, eps, min_samples):
     known, noise = dbscan(pts, eps=eps, min_samples=min_samples)
     got = [-1] * len(pts)
     for c in known.clusters:
-        for sid in c.member_ids:
+        for sid in c.labels:
             got[int(sid)] = c.id
     assert got == reference_dbscan_labels(pts, eps, min_samples)
     assert noise == [str(i) for i, label in enumerate(got) if label == -1]
@@ -214,7 +214,7 @@ def test_dbscan_border_point_goes_to_first_cluster():
     pts, eps, min_samples = TWO_CORES_ONE_BORDER
     known, noise = dbscan(np.array(pts)[:, None], eps=eps, min_samples=min_samples)
     assert noise == []
-    assert [c.member_ids for c in known.clusters] == [["0", "1", "2", "3", "4"],
+    assert [c.labels for c in known.clusters] == [["0", "1", "2", "3", "4"],
                                                       ["5", "6", "7", "8"]]
 
 
@@ -235,16 +235,16 @@ def test_som_batch_four_blobs():
     assert len(known.clusters) == 4
     # generator labels are the oracle: each cluster holds exactly one blob
     for c in known.clusters:
-        blob_ids = {labels[int(sid)] for sid in c.member_ids}
+        blob_ids = {labels[int(sid)] for sid in c.labels}
         assert len(blob_ids) == 1
-        assert c.count == 40
+        assert len(c) == 40
 
 
 def test_som_batch_single_unit():
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(30, 3))
     known = som_batch(pts, k_units=1, epochs=2, seed=0)
-    assert len(known.clusters) == 1 and known.clusters[0].count == 30
+    assert len(known.clusters) == 1 and len(known.clusters[0]) == 30
 
 
 def test_som_batch_zero_epochs_valid_partition():
@@ -252,15 +252,15 @@ def test_som_batch_zero_epochs_valid_partition():
     pts = rng.normal(size=(25, 2)) * 0.05  # near the initial weight range
     known = som_batch(pts, k_units=3, epochs=0, seed=1)
     validate_known(known)
-    assert sum(c.count for c in known.clusters) == 25
+    assert sum(len(c) for c in known.clusters) == 25
 
 
 def test_cluster_add_member_running_mean():
     c = Cluster(0, np.array([[0.0, 0.0], [2.0, 0.0]]), ["a", "b"])
     for i in range(50):
         c.add_member(np.array([float(i % 5), 1.0]), f"m{i}")
-    np.testing.assert_allclose(c.centroid, c.member_points.mean(axis=0), atol=1e-9)
-    assert c.count == 52 and len(c.member_ids) == 52
+    np.testing.assert_allclose(c.centroid, c.points.mean(axis=0), atol=1e-9)
+    assert len(c) == 52 and len(c.labels) == 52
     with pytest.raises(AttributeError):
         c.centroid = np.zeros(2)
 
@@ -294,7 +294,7 @@ def test_cluster_centroid_tracks_member_mean(case, update):
             clone.add_member(x * 2.0, f"c{i}", update_centroid=update)
             check_max_sq_norm(clone)
             check_max_sq_norm(cluster)
-            assert clone.count == cluster.count + 1
+            assert len(clone) == len(cluster) + 1
         cluster.add_member(x, f"j{i}", update_centroid=update)
         check_max_sq_norm(cluster)
     if not update:
@@ -304,7 +304,7 @@ def test_cluster_centroid_tracks_member_mean(case, update):
     # 2.5 eps M to the error (M = largest |coordinate|) while shrinking the
     # error it inherits; np.mean of the initial and of all members rounds
     # by at most n eps M / 2 each. 4 N eps M covers the sum for N members.
-    points = cluster.member_points
+    points = cluster.points
     bound = 4 * len(points) * np.finfo(float).eps * np.abs(points).max()
     assert np.all(np.abs(cluster.centroid - points.mean(axis=0)) <= bound)
 

@@ -233,6 +233,29 @@ def test_config_shape_errors_exit_1(tmp_path, data_files, capsys):
         assert main(["run", *data, "--config", str(path), "-o", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+    # wrongly typed fields of a run that is otherwise valid
+    for config, message in (
+        ({"compute_silhouette": "false"}, "compute_silhouette must be true or false, got 'false'"),
+        ({"compute_known_metrics": 0}, "compute_known_metrics must be true or false, got 0"),
+        ({"decision": {"grow_members": "false"}}, "grow_members must be true or false"),
+        ({"decision": {"update_centroids": 1}}, "update_centroids must be true or false, got 1"),
+        ({"decision": {"grow_reference": None}}, "grow_reference must be true or false"),
+        ({"decision": {"tau": True}}, "tau must be a number, got True"),
+        ({"decision": {"tau": "1"}}, "tau must be a number, got '1'"),
+        ({"bsas_theta": True}, "bsas_theta must be finite and positive, got True"),
+        ({"bsas_theta": "2"}, "bsas_theta must be finite and positive, got '2'"),
+        ({"corpus_path": 5}, "corpus_path must be a string or null, got 5"),
+        ({"fmt": ["csv"]}, "fmt must be a string or null, got ['csv']"),
+    ):
+        path.write_text(json.dumps(config))
+        assert main(["run", *data, *BASE, "--config", str(path), "-o", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    # a cutoff flag would override the config's cutoff
+    path.write_text(json.dumps({"cutoff": 201811}))
+    assert main(["run", *data[:2], *BASE, "--config", str(path), "-o", str(out)]) == 1
+    assert "cutoff must be a string or null, got 201811" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_select_features_usage_errors_exit_1(tmp_path, data_files, monkeypatch, capsys):

@@ -82,9 +82,9 @@ def test_route_sample_interior_acceptance_mutates_state():
     out = route_sample(known, ref, WKNNParams(k=3), dp, x, "new-sample")
     assert out.route is Route.KNOWN and out.cluster_id == 0
     cluster = known.cluster_by_id(0)
-    assert cluster.count == 5
-    assert cluster.member_ids[-1] == "new-sample"
-    np.testing.assert_allclose(cluster.centroid, cluster.member_points.mean(axis=0), atol=1e-9)
+    assert len(cluster) == 5
+    assert cluster.labels[-1] == "new-sample"
+    np.testing.assert_allclose(cluster.centroid, cluster.points.mean(axis=0), atol=1e-9)
     assert len(ref) == before_ref + 1
 
 
@@ -97,9 +97,9 @@ def test_route_sample_far_point_routes_new_without_mutation():
     assert out.route is Route.NEW
     assert len(ref) == before_ref
     for c_now, c_before in zip(known.clusters, snapshot.clusters):
-        assert c_now.count == c_before.count
+        assert len(c_now) == len(c_before)
         np.testing.assert_array_equal(c_now.centroid, c_before.centroid)
-        np.testing.assert_array_equal(c_now.member_points, c_before.member_points)
+        np.testing.assert_array_equal(c_now.points, c_before.points)
 
 
 def test_route_sample_negative_tau_rejects_near_centroid():
@@ -119,7 +119,7 @@ def test_route_sample_flags():
     centroid_before = cluster.centroid.copy()
     out = route_sample(known, ref, WKNNParams(k=3), dp, np.array([1.2, 0.1]), "s1")
     assert out.route is Route.KNOWN
-    assert cluster.count == 5
+    assert len(cluster) == 5
     np.testing.assert_array_equal(cluster.centroid, centroid_before)
     assert len(ref) == 8
 
@@ -127,7 +127,7 @@ def test_route_sample_flags():
                             grow_members=False)
     out = route_sample(known, ref, WKNNParams(k=3), frozen, np.array([0.8, -0.1]), "s2")
     assert out.route is Route.KNOWN
-    assert cluster.count == 5  # member list untouched in frozen mode
+    assert len(cluster) == 5  # member list untouched in frozen mode
 
 
 def _stream(points, prefix="q"):
@@ -141,7 +141,7 @@ def _stream(points, prefix="q"):
 
 def naive_route_fraction(known, ref, k, tau, stream_points):
     """Independent sequential re-evaluation of the rule with python loops."""
-    members = {c.id: [list(map(float, p)) for p in c.member_points] for c in known.clusters}
+    members = {c.id: [list(map(float, p)) for p in c.points] for c in known.clusters}
     centroids = {c.id: list(map(float, c.centroid)) for c in known.clusters}
     ref_pts = [list(map(float, p)) for p in ref.points]
     ref_labels = list(ref.labels)
@@ -187,7 +187,7 @@ def test_sweep_tau_matches_brute_force_and_preserves_state():
         rng.normal(size=(5, 2)) + [10.0, 8.0],
     ])
     stream = _stream(stream_points)
-    counts_before = [c.count for c in known.clusters]
+    counts_before = [len(c) for c in known.clusters]
     ref_before = len(ref)
 
     taus = [-1.0, 0.0, 1.0]
@@ -198,7 +198,7 @@ def test_sweep_tau_matches_brute_force_and_preserves_state():
         assert point.new_fraction == want
 
     # pristine replay: the sweep never mutates the caller's state
-    assert [c.count for c in known.clusters] == counts_before
+    assert [len(c) for c in known.clusters] == counts_before
     assert len(ref) == ref_before
     again = sweep_tau(known, ref, WKNNParams(k=3), stream, taus)
     assert [(p.tau, p.new_fraction) for p in again] == [

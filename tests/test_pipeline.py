@@ -60,7 +60,7 @@ def test_routing_decomposition(small_data):
     assert n_new == len(routing.new_ids)
     assert routing.new_points.shape == (n_new, cfg.n_features)
     # every accepted sample joined exactly one known cluster
-    member_ids = [sid for c in routing.known.clusters for sid in c.member_ids]
+    member_ids = [sid for c in routing.known.clusters for sid in c.labels]
     assert len(member_ids) == len(set(member_ids))
     accepted = [sid for sid, r in routes.items() if r is Route.KNOWN]
     assert set(accepted) <= set(member_ids)

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
 from famstream import decision, wknn
+from famstream.batch import Cluster
 from famstream.data import Route
 from famstream.decision import DecisionParams, accepts, route_sample
 from famstream.pipeline import PipelineConfig, build_known_model, fit_projection, transform_stream
-from famstream.points import PointBuffer, condensed_dists, pair_dists, sq_dists
+from famstream.points import EPS, PointBuffer, condensed_dists, pair_dists, sq_dists
 from famstream.wknn import ReferenceSet, WKNNParams, classify
 
 
@@ -120,11 +121,65 @@ def test_accepts_equals_full_matrix(data, centroid_mode, tau):
 def test_sq_dists_within_bound(data, scale):
     points, x = data
     points, x = points * scale, x * scale
-    buf = PointBuffer(points)
+    buf = PointBuffer(points, [0] * len(points))
     s, err = sq_dists(buf.points, buf.sq_norms, buf.max_sq_norm, x)
     diff = points - x
     exact = np.einsum("ij,ij->i", diff, diff)
     assert np.all(np.abs(s - exact) <= err)
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def fork_cases(draw):
+    """Initial rows, rows both sides add before a deep copy, and rows added
+    after it: each with the side that takes it and a centroid-update flag.
+    Up to 40 additions cross several capacity doublings on either side."""
+    dim = draw(st.integers(1, 4))
+    coord = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    row = st.lists(coord, min_size=dim, max_size=dim).map(np.array)
+    initial = draw(st.lists(row, min_size=1, max_size=9))
+    before = draw(st.lists(st.tuples(row, st.booleans()), max_size=10))
+    after = draw(st.lists(st.tuples(st.booleans(), row, st.booleans()), max_size=30))
+    return np.array(initial), before, after
+
+
+def store_kinds(initial):
+    """A ReferenceSet and a Cluster over the same rows, each with a function
+    that adds one labeled row (the Cluster moving its centroid or not)."""
+    n = len(initial)
+    return (
+        (lambda: ReferenceSet(points=initial, labels=list(range(n))),
+         lambda store, x, i, update: store.add(x, i)),
+        (lambda: Cluster(0, initial, [f"i{j}" for j in range(n)]),
+         lambda store, x, i, update: store.add_member(x, f"m{i}", update_centroid=update)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=fork_cases())
+def test_deep_copies_grow_independently(case):
+    # Each store is compared with a twin that took the same additions and was
+    # never copied from or into.
+    initial, before, after = case
+    for make, grow in store_kinds(initial):
+        original, twin, clone_twin = make(), make(), make()
+        for i, (x, update) in enumerate(before):
+            for store in (original, twin, clone_twin):
+                grow(store, x, i, update)
+        clone = copy.deepcopy(original)
+        for i, (to_clone, x, update) in enumerate(after, start=len(before)):
+            for store in (clone, clone_twin) if to_clone else (original, twin):
+                grow(store, x, i, update)
+        for got, want in ((original, twin), (clone, clone_twin)):
+            assert type(got) is type(want) and got.labels == want.labels
+            assert same_bits(got.points, want.points)
+            assert same_bits(got.sq_norms, want.sq_norms)
+            assert got.max_sq_norm == want.max_sq_norm == got.sq_norms.max()
+            if isinstance(want, Cluster):
+                assert same_bits(got.centroid, want.centroid)
 
 
 @st.composite
@@ -139,10 +194,6 @@ def row_sets(draw):
     pool = pool.reshape(pool_size, d)
     picks = st.lists(st.integers(0, pool_size - 1), max_size=30)
     return pool[np.array(draw(picks), dtype=np.intp)], pool[np.array(draw(picks), dtype=np.intp)]
-
-
-def same_bits(got, want):
-    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -269,10 +320,55 @@ def test_accepts_decides_from_the_bound_and_rechecks_near_zero(spy_exact, monkey
     assert run(3.0, 1.0 - 1e-12) == (False, [1.0, 3.0], [1, 1])  # just below 0: none
 
 
+def test_accepts_survives_worst_case_row_errors(monkeypatch):
+    """Both bounded rows off by nearly their whole bound, in opposite
+    directions, so the margins err by up to about sqrt(err_c) + sqrt(err_x):
+    only the two-row slack covers that.
+
+    Real rounding stays far below the bound, so a stand-in for `sq_dists`
+    returns the exact sums of squares moved by (n + 2) / (n + 6) * err, the
+    bound's first-order part: the centroid row one way and the sample row
+    the other, told apart by the query, in both directions. Members lie
+    within about that shift's square root of a centroid far from the origin
+    and x near the origin, so err_c is about four times err_x and the
+    centroid row's error after the square root is near its largest.
+    """
+    real = decision.sq_dists
+    rng = np.random.default_rng(21)
+    mismatches = []
+    for _ in range(100):
+        d, n = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        unit = rng.normal(size=(n + 1, d))
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        centroid = 10.0 ** rng.uniform(-3, 6) * unit[0]
+        x = np.zeros(d) if rng.integers(2) else 1e-3 * rng.normal(size=d) * centroid
+        shift = (d + 2) * EPS * 4.0 * float(centroid @ centroid)
+        members = centroid + rng.uniform(0, 1.5, size=(n, 1)) * math.sqrt(shift) * unit[1:]
+        sq_norms = np.einsum("ij,ij->i", members, members)
+        _, err_c = real(members, sq_norms, float(sq_norms.max()), centroid)
+        dist = lambda a, b: float(np.sqrt(np.sum((a - b) ** 2)))  # noqa: E731
+        tau0 = min(max(dist(y, x), dist(x, centroid)) - dist(y, centroid) for y in members)
+        for sign in (1.0, -1.0):
+            def stand_in(points, sq_norms, max_sq_norm, q, sign=sign):
+                _, err = real(points, sq_norms, max_sq_norm, q)
+                diff = points - q
+                toward = sign if np.array_equal(q, centroid) else -sign
+                shifted = np.einsum("ij,ij->i", diff, diff) + toward * (d + 2) / (d + 6) * err
+                return shifted, err
+
+            monkeypatch.setattr(decision, "sq_dists", stand_in)
+            for t in np.linspace(-1.0, 1.0, 41):
+                tau = tau0 + t * math.sqrt(err_c)
+                want = full_matrix_accepts(members, centroid, x, tau)
+                if accepts(members, centroid, x, tau) != want:
+                    mismatches.append((members.tolist(), centroid.tolist(), x.tolist(), tau))
+    assert mismatches == []
+
+
 def old_replay(known, ref, params, dp, stream):
     """Route the stream with the full-scan formulas on plain copies of the state."""
-    members = {c.id: c.member_points.copy() for c in known.clusters}
-    member_ids = {c.id: list(c.member_ids) for c in known.clusters}
+    members = {c.id: c.points.copy() for c in known.clusters}
+    member_ids = {c.id: list(c.labels) for c in known.clusters}
     centroids = {c.id: c.centroid.copy() for c in known.clusters}
     ref_points, ref_labels = ref.points.copy(), list(ref.labels)
     routes = []
@@ -326,8 +422,8 @@ def test_routing_replay_matches_full_scan(small_data, grow_reference, grow_membe
         accepted = sum(r is Route.KNOWN for r, _ in routes)
         assert share == ("none" if accepted == 0 else "all" if accepted == n else "some")
         for c in known.clusters:
-            np.testing.assert_array_equal(c.member_points, members[c.id])
-            assert c.member_ids == member_ids[c.id]
+            np.testing.assert_array_equal(c.points, members[c.id])
+            assert c.labels == member_ids[c.id]
             np.testing.assert_array_equal(c.centroid, centroids[c.id])
         np.testing.assert_array_equal(ref.points, ref_points)
         assert ref.labels == ref_labels
