@@ -346,7 +346,8 @@ def cmd_select_features(args) -> int:
             f"--candidates must lie in [1, min(dim={corpus.dim}, corpus size={len(corpus)})], "
             f"got {candidates}"
         )
-    scaled = apply_scaler(fit_scaler(corpus), corpus.matrix())
+    corpus_x = corpus.matrix()
+    scaled = apply_scaler(fit_scaler(corpus_x), corpus_x)
     (best_count, best_name), table = select_feature_count(
         scaled, candidates, specs, seed=config.seed
     )

@@ -181,12 +181,14 @@ def load_dataset(path: str | Path, fmt: str | None = None) -> Dataset:
     mean an absent family or date. JSONL lines are objects with keys ``id``,
     ``family``, ``first_seen``, ``features``. Raises DataFormatError with the
     offending line number on malformed rows, inconsistent dimensions, or
-    non-finite feature values; the first error in file order wins.
+    non-finite feature values; the first error in file order wins. A CSV
+    header declares the dimension, so a header-only file is an empty
+    dataset; an empty JSONL file declares none and raises ValueError.
     """
     path = Path(path)
-    fmt = _infer_format(path, fmt)
-    samples = _load_csv(path) if fmt == "csv" else _load_jsonl(path)
-    return Dataset.from_samples(samples)
+    if _infer_format(path, fmt) == "csv":
+        return Dataset.from_samples(*_load_csv(path))
+    return Dataset.from_samples(_load_jsonl(path))
 
 
 def _check_header(header: list[str]) -> None:
@@ -220,7 +222,8 @@ def _records(fh):
             yield (text.count(",") + 1, text.split(",", 3)[:3]) if text else (0, [])
 
 
-def _load_csv(path: Path) -> list[Sample]:
+def _load_csv(path: Path) -> tuple[list[Sample], int]:
+    """The samples of a CSV file and the dimension its header declares."""
     # Pass 1 stops at the first row whose field count, id or date is wrong.
     # Pass 2 parses the features of the rows before it (and of that row, when
     # its field count is right), so that a bad number earlier in the file, or
@@ -254,7 +257,7 @@ def _load_csv(path: Path) -> list[Sample]:
     return [
         Sample(id=sid, features=row, family=family, first_seen=first_seen)
         for (sid, family, first_seen), row in zip(meta, features)
-    ]
+    ], len(header) - len(_RESERVED_COLUMNS)
 
 
 def _read_features(path: Path, header: list[str], n_rows: int) -> np.ndarray:

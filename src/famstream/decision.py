@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .batch import KnownClusters
-from .data import Dataset, Route, RouteAssignment, check_dim
+from .data import Route, RouteAssignment, check_dim
 from .points import exact_dists, sq_dists
 from .wknn import ReferenceSet, WKNNParams, classify
 
@@ -167,15 +167,17 @@ def sweep_tau(
     known: KnownClusters,
     ref: ReferenceSet,
     params: WKNNParams,
-    stream: Dataset,
+    ids: list[str],
+    points,
     taus,
     dp: DecisionParams | None = None,
 ) -> list[TauSweepPoint]:
     """Fraction of the stream routed New, per tau, from a pristine state.
 
-    Acceptance mutates the known clusters and the reference set, so each tau
-    replays the whole stream against fresh deep copies; runs never bleed
-    into each other. Stream samples must already live in model space.
+    The stream is given as its sample ids and, row for row, its points in
+    model space (the projected stream). Acceptance mutates the known
+    clusters and the reference set, so each tau replays the whole stream
+    against fresh deep copies; runs never bleed into each other.
     """
     taus = [float(t) for t in taus]
     if not taus:
@@ -186,11 +188,10 @@ def sweep_tau(
         k_copy = copy.deepcopy(known)
         r_copy = copy.deepcopy(ref)
         dpt = replace(base, tau=tau)
-        new_count = 0
-        for sample in stream.samples:
-            assignment = route_sample(k_copy, r_copy, params, dpt, sample.features, sample.id)
-            if assignment.route is Route.NEW:
-                new_count += 1
-        fraction = new_count / len(stream.samples) if stream.samples else 0.0
+        new_count = sum(
+            route_sample(k_copy, r_copy, params, dpt, x, sid).route is Route.NEW
+            for sid, x in zip(ids, points, strict=True)
+        )
+        fraction = new_count / len(ids) if ids else 0.0
         out.append(TauSweepPoint(tau=tau, new_fraction=fraction))
     return out

@@ -2,22 +2,22 @@
 stream, online-cluster the new-family route, and score the result.
 
 run_pipeline, run_grid, run_reference_baseline and run_tau_sweep share one
-core: fit_projection fits standard score and PCA on the corpus once per
-call, projects the corpus and rejects non-finite input; transform_stream
-projects the stream once per call, row by row; _routed_repeats, the one
-repeat loop, clusters the projected corpus with a batch SOM and routes each
-projected stream sample in chronological order (WKNN proposes a known
-cluster, the expansion rule accepts it or queues the sample for the online
-clusterer);
-_cluster_cell runs one cell's online clusterer over one population, and
+core: fit_projection rejects non-finite input, fits standard score and PCA
+on the corpus and projects the corpus and the stream once per call, each as
+one matrix through preprocess.transform_pca, whose rows do not depend on
+the rows beside them; _routed_repeats, the one repeat loop, clusters the
+projected corpus with a batch SOM and routes each projected stream row in
+chronological order (WKNN proposes a known cluster, the expansion rule
+accepts it or queues the sample for the online clusterer); _cluster_cell
+runs one cell's online clusterer over one population, and
 _score_population scores every labeling of a population (purity each, and
 all silhouettes from one distance pass); _grid_cells runs a population's
 cells and then scores them together; summarize aggregates grid and baseline
 cells. run_pipeline is a grid with one cell plus known-population metrics
 and the first repeat's artifacts; run_reference_baseline feeds the unrouted
-corpus+stream to the same cells, all scored from one distance pass;
-run_tau_sweep replays the projected stream against repeat 0's known model
-once per tau.
+projected corpus+stream to the same cells, all scored from one distance
+pass; run_tau_sweep replays the projected stream against repeat 0's known
+model once per tau.
 
 Routing never reads the online state, so clustering the new route after the
 routing pass is byte-identical to interleaving them sample by sample.
@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .batch import KnownClusters, som_batch
-from .data import Dataset, Route, RouteAssignment, Sample, load_dataset, split_by_time
+from .data import Dataset, Route, RouteAssignment, load_dataset, parse_year_month, split_by_time
 from .decision import DecisionParams, TauSweepPoint, route_sample, sweep_tau
 from .metrics import mean_silhouette, purity
 from .online import StreamingClusterer, final_assign
@@ -96,6 +96,13 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise ValueError(f"{name} must be a string or null, got {value!r}")
+        if self.cutoff is not None:
+            try:
+                parse_year_month(self.cutoff)
+            except ValueError as exc:
+                raise ValueError(f"cutoff: {exc}") from None
+        if self.fmt not in (None, "csv", "jsonl"):
+            raise ValueError(f"fmt must be 'csv', 'jsonl' or null, got {self.fmt!r}")
         if require_paths:
             has_pair = self.corpus_path is not None and self.stream_path is not None
             has_split = self.data_path is not None and self.cutoff is not None
@@ -171,11 +178,12 @@ class RoutingPass:
 
 @dataclass
 class Projection:
-    """Scaler and PCA fit on the corpus, and the corpus projected once."""
+    """Scaler and PCA fit on the corpus; the corpus and the stream projected once."""
 
     scaler: ScalerModel
     pca: PCAModel
     corpus_z: np.ndarray
+    stream_z: np.ndarray
     seconds: float
 
 
@@ -186,20 +194,21 @@ def _reject_nonfinite(matrix: np.ndarray, data: Dataset, role: str) -> None:
 
 
 def fit_projection(corpus: Dataset, stream: Dataset, n_features: int) -> Projection:
-    """Fit scaler+PCA on the corpus and project it.
+    """Fit scaler+PCA on the corpus and project the corpus and the stream.
 
     Raises ValueError naming the first corpus or stream sample with a
     non-finite feature.
     """
     t0 = time.perf_counter()
-    corpus_x = corpus.matrix()
+    corpus_x, stream_x = corpus.matrix(), stream.matrix()
     _reject_nonfinite(corpus_x, corpus, "corpus")
-    _reject_nonfinite(stream.matrix(), stream, "stream")
+    _reject_nonfinite(stream_x, stream, "stream")
     scaler = fit_scaler(corpus_x)
     corpus_scaled = apply_scaler(scaler, corpus_x)
     pca = fit_pca(corpus_scaled, n_features)
     corpus_z = transform_pca(pca, corpus_scaled)
-    return Projection(scaler, pca, corpus_z, time.perf_counter() - t0)
+    stream_z = transform_pca(pca, apply_scaler(scaler, stream_x))
+    return Projection(scaler, pca, corpus_z, stream_z, time.perf_counter() - t0)
 
 
 def build_known_model(
@@ -221,37 +230,25 @@ def build_known_model(
     return known, ref
 
 
-def transform_stream(
-    scaler: ScalerModel, pca: PCAModel, stream: Dataset
-) -> Dataset:
-    """Project stream samples into model space, keeping ids and metadata."""
-    out = []
-    for s in stream.samples:
-        z = transform_pca(pca, apply_scaler(scaler, s.features))
-        z.setflags(write=False)
-        out.append(Sample(id=s.id, features=z, family=s.family, first_seen=s.first_seen))
-    return Dataset.from_samples(out, dim=pca.n_components)
-
-
 def run_routing(
-    corpus: Dataset, stream_z: Dataset, proj: Projection, config: PipelineConfig, seed: int
+    corpus: Dataset, stream: Dataset, proj: Projection, config: PipelineConfig, seed: int
 ) -> RoutingPass:
-    """Cluster the projected corpus and route every projected stream sample."""
+    """Cluster the projected corpus and route every projected stream row."""
     t0 = time.perf_counter()
     known, ref = build_known_model(corpus, proj.corpus_z, config, seed)
     t1 = time.perf_counter()
     assignments = [
-        route_sample(known, ref, config.wknn, config.decision, s.features, s.id)
-        for s in stream_z.samples
+        route_sample(known, ref, config.wknn, config.decision, z, sid)
+        for sid, z in zip(stream.ids(), proj.stream_z, strict=True)
     ]
     t2 = time.perf_counter()
-    new = [s for s, a in zip(stream_z.samples, assignments) if a.route is Route.NEW]
+    new = [i for i, a in enumerate(assignments) if a.route is Route.NEW]
     return RoutingPass(
         known=known,
         assignments=assignments,
-        new_ids=[s.id for s in new],
-        new_points=Dataset(new, stream_z.dim).matrix(),
-        stream_size=len(stream_z),
+        new_ids=[assignments[i].sample_id for i in new],
+        new_points=proj.stream_z[new],
+        stream_size=len(stream),
         timings={"corpus_clustering": t1 - t0, "wknn_total": t2 - t1},
     )
 
@@ -460,17 +457,14 @@ def _prepare(
 def _routed_repeats(
     corpus: Dataset, stream: Dataset, proj: Projection, config: PipelineConfig
 ) -> Iterator[tuple[int, int, RoutingPass, float, float]]:
-    """Project the stream once, then route it once per repeat; yields (repeat,
-    base seed, routing, perf_counter at the repeat's start, preprocessing
-    seconds: the projections' in repeat 0, else 0)."""
-    t0 = time.perf_counter()
-    stream_z = transform_stream(proj.scaler, proj.pca, stream)
-    preprocess = proj.seconds + time.perf_counter() - t0
+    """Route the projected stream once per repeat; yields (repeat, base seed,
+    routing, perf_counter at the repeat's start, preprocessing seconds:
+    proj.seconds in repeat 0, else 0)."""
     for r in range(config.repeats):
         base = repeat_seed(config.seed, r)
         started = time.perf_counter()
-        routing = run_routing(corpus, stream_z, proj, config, seed=base)
-        yield r, base, routing, started, preprocess if r == 0 else 0.0
+        routing = run_routing(corpus, stream, proj, config, seed=base)
+        yield r, base, routing, started, proj.seconds if r == 0 else 0.0
 
 
 def run_pipeline(config: PipelineConfig, data: tuple[Dataset, Dataset] | None = None) -> RunReport:
@@ -479,9 +473,9 @@ def run_pipeline(config: PipelineConfig, data: tuple[Dataset, Dataset] | None = 
     Each repeat is the grid cell (config.online_algorithm,
     config.online_clusters), plus known-population metrics; the first
     repeat also keeps its assignments and models. Unlike a grid cell, a
-    failing online stage raises. The one-time preprocessing (the corpus fit
-    and the stream projection) is timed into repeat 0's `preprocess` and
-    `total`.
+    failing online stage raises. The one-time preprocessing (the fit and
+    the projection of corpus and stream) is timed into repeat 0's
+    `preprocess` and `total`.
     """
     corpus, stream, labels, proj = _prepare(config, data)
     repeats: list[RepeatResult] = []
@@ -707,13 +701,7 @@ def run_reference_baseline(
     counts, algos = grid_axes(cluster_counts, algorithms)
     corpus, stream, labels, proj = _prepare(config, data)
     ids = corpus.ids() + stream.ids()
-    # Routing projects each stream sample on its own (transform_stream), the
-    # baseline the whole stream matrix at once. The two differ in the last
-    # bit, so neither may replace the other without changing results.
-    # Stacking corpus_z on the matrix projection gives the same bytes as
-    # projecting vstack(corpus, stream) in one product.
-    stream_z = transform_pca(proj.pca, apply_scaler(proj.scaler, stream.matrix()))
-    points = np.vstack([proj.corpus_z, stream_z])
+    points = np.vstack([proj.corpus_z, proj.stream_z])
     axes = [
         (algo, count, r, repeat_seed(config.seed, r))
         for algo in algos
@@ -731,5 +719,6 @@ def run_tau_sweep(
     model of repeat 0 (seed repeat_seed(config.seed, 0))."""
     corpus, stream, _, proj = _prepare(config, data)
     known, ref = build_known_model(corpus, proj.corpus_z, config, repeat_seed(config.seed, 0))
-    stream_z = transform_stream(proj.scaler, proj.pca, stream)
-    return sweep_tau(known, ref, config.wknn, stream_z, taus, dp=config.decision)
+    return sweep_tau(
+        known, ref, config.wknn, stream.ids(), proj.stream_z, taus, dp=config.decision
+    )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_dim
+from .data import check_dim
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,9 @@ class PCAModel:
 
 
 def _as_matrix(data) -> np.ndarray:
-    if isinstance(data, Dataset):
-        return data.matrix()
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix or Dataset, got shape {X.shape}")
+        raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
     return X
 
 
@@ -135,10 +133,16 @@ def fit_pca(scaled_corpus, n_components: int) -> PCAModel:
 
 
 def transform_pca(model: PCAModel, x) -> np.ndarray:
-    """Project one vector (or matrix rows) onto the principal components."""
+    """Project one vector (or the rows of a matrix) onto the principal components.
+
+    An einsum over C-ordered centered rows, not a BLAS product, so a row's
+    bits depend on that row alone: it projects the same by itself, in any
+    block or in the whole matrix, at any BLAS thread count. (einsum's
+    summation order follows the memory layout, hence the C order.)
+    """
     x = np.asarray(x, dtype=np.float64)
     check_dim(model.components.shape[1], x.shape[-1], "transform_pca")
-    return (x - model.mean) @ model.components.T
+    return np.einsum("...j,kj->...k", np.subtract(x, model.mean, order="C"), model.components)
 
 
 @dataclass(frozen=True)

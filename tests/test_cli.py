@@ -258,6 +258,51 @@ def test_config_shape_errors_exit_1(tmp_path, data_files, capsys):
     assert not out.exists()
 
 
+def test_unusable_cutoff_and_fmt_are_usage_errors(tmp_path, data_files, capsys):
+    combined = ["--data", str(data_files["combined"])]
+    pair = ["--corpus", str(data_files["corpus"]), "--stream", str(data_files["stream"])]
+    out = tmp_path / "out"
+    for args, message in (
+        ([*combined, "--cutoff", "2018-13"], "cutoff: month out of range in '2018-13'"),
+        ([*pair, "--cutoff", "2018-99"], "cutoff: month out of range in '2018-99'"),
+    ):
+        assert main(["run", *args, *BASE, "-o", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    path = tmp_path / "config.json"
+    for config, message in (
+        ({"cutoff": "201811"}, "cutoff: expected YYYY-MM date, got '201811'"),
+        ({"cutoff": "2018-11", "fmt": "xml"}, "fmt must be 'csv', 'jsonl' or null, got 'xml'"),
+    ):
+        path.write_text(json.dumps(config))
+        assert main(["run", *combined, *BASE, "--config", str(path), "-o", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_header_only_stream_is_an_empty_stream(tmp_path, data_files, capsys):
+    stream = tmp_path / "stream.csv"
+    header = Path(data_files["corpus"]).read_text(encoding="utf-8").splitlines()[0]
+    stream.write_text(header + "\n", encoding="utf-8")
+    pair = ["--corpus", str(data_files["corpus"]), "--stream", str(stream), *BASE]
+    counts = ["--cluster-counts", "4", "--algorithms", "okm"]
+    for cmd, extra in (("run", []), ("grid", counts), ("baseline", counts), ("sweep-tau", [])):
+        assert main([cmd, *pair, *extra, "-o", str(tmp_path / cmd)]) == 0, cmd
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["repeats"][0]["stream_size"] == 0
+    rows = (tmp_path / "sweep-tau" / "tau_sweep.csv").read_text().splitlines()[1:]
+    assert rows and all(row.endswith(",0.0") for row in rows)
+    # an empty JSONL file declares no dimension; an empty corpus cannot be fit
+    empty_jsonl = tmp_path / "stream.jsonl"
+    empty_jsonl.write_text("")
+    assert main(["run", "--corpus", str(data_files["corpus"]), "--stream", str(empty_jsonl),
+                 *BASE, "-o", str(tmp_path / "jsonl")]) == 2
+    assert "cannot infer dimension of an empty dataset" in capsys.readouterr().err
+    assert main(["run", "--corpus", str(stream), "--stream", str(data_files["stream"]),
+                 *BASE, "-o", str(tmp_path / "corpus")]) == 1
+    assert "corpus is empty" in capsys.readouterr().err
+
+
 def test_select_features_usage_errors_exit_1(tmp_path, data_files, monkeypatch, capsys):
     def no_clustering(*args, **kwargs):
         raise AssertionError("clustering ran")

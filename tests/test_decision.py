@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from famstream.batch import Cluster, KnownClusters
-from famstream.data import Dataset, Route, Sample
+from famstream.data import Route
 from famstream.decision import DecisionParams, accepts, route_sample, sweep_tau
 from famstream.wknn import ReferenceSet, WKNNParams
 
@@ -130,13 +130,8 @@ def test_route_sample_flags():
     assert len(cluster) == 5  # member list untouched in frozen mode
 
 
-def _stream(points, prefix="q"):
-    samples = []
-    for i, p in enumerate(points):
-        arr = np.asarray(p, dtype=np.float64)
-        arr.setflags(write=False)
-        samples.append(Sample(id=f"{prefix}{i}", features=arr))
-    return Dataset.from_samples(samples)
+def _ids(points):
+    return [f"q{i}" for i in range(len(points))]
 
 
 def naive_route_fraction(known, ref, k, tau, stream_points):
@@ -186,12 +181,12 @@ def test_sweep_tau_matches_brute_force_and_preserves_state():
         rng.normal(size=(10, 2)) * 1.5 + [21.0, 0.0],
         rng.normal(size=(5, 2)) + [10.0, 8.0],
     ])
-    stream = _stream(stream_points)
+    ids = _ids(stream_points)
     counts_before = [len(c) for c in known.clusters]
     ref_before = len(ref)
 
     taus = [-1.0, 0.0, 1.0]
-    sweep = sweep_tau(known, ref, WKNNParams(k=3), stream, taus)
+    sweep = sweep_tau(known, ref, WKNNParams(k=3), ids, stream_points, taus)
     assert [p.tau for p in sweep] == taus
     for point in sweep:
         want = naive_route_fraction(known, ref, 3, point.tau, stream_points)
@@ -200,7 +195,7 @@ def test_sweep_tau_matches_brute_force_and_preserves_state():
     # pristine replay: the sweep never mutates the caller's state
     assert [len(c) for c in known.clusters] == counts_before
     assert len(ref) == ref_before
-    again = sweep_tau(known, ref, WKNNParams(k=3), stream, taus)
+    again = sweep_tau(known, ref, WKNNParams(k=3), ids, stream_points, taus)
     assert [(p.tau, p.new_fraction) for p in again] == [
         (p.tau, p.new_fraction) for p in sweep
     ]
@@ -209,14 +204,14 @@ def test_sweep_tau_matches_brute_force_and_preserves_state():
 def test_sweep_tau_huge_tau_rejects_nothing():
     known, ref = two_cluster_state()
     rng = np.random.default_rng(10)
-    stream = _stream(rng.normal(size=(12, 2)) * 3 + [10.0, 0.0])
-    sweep = sweep_tau(known, ref, WKNNParams(k=3), stream, [1e6])
+    points = rng.normal(size=(12, 2)) * 3 + [10.0, 0.0]
+    sweep = sweep_tau(known, ref, WKNNParams(k=3), _ids(points), points, [1e6])
     assert sweep[0].new_fraction == 0.0
 
 
 def test_sweep_tau_empty_stream():
     known, ref = two_cluster_state()
-    sweep = sweep_tau(known, ref, WKNNParams(k=3), Dataset([], 2), [0.0])
+    sweep = sweep_tau(known, ref, WKNNParams(k=3), [], np.empty((0, 2)), [0.0])
     assert sweep[0].new_fraction == 0.0
 
 
@@ -224,4 +219,4 @@ def test_decision_params_validation():
     with pytest.raises(ValueError):
         DecisionParams(tau=float("nan"))
     with pytest.raises(ValueError):
-        sweep_tau(*two_cluster_state(), WKNNParams(k=1), Dataset([], 2), [])
+        sweep_tau(*two_cluster_state(), WKNNParams(k=1), [], np.empty((0, 2)), [])

@@ -16,7 +16,7 @@ from famstream.pipeline import (
     run_pipeline,
     run_reference_baseline,
     run_routing,
-    transform_stream,
+    run_tau_sweep,
 )
 from famstream.preprocess import apply_scaler, transform_pca
 from famstream import report as rpt
@@ -52,8 +52,7 @@ def test_routing_decomposition(small_data):
     corpus, stream = small_data
     cfg = small_config()
     proj = fit_projection(corpus, stream, cfg.n_features)
-    stream_z = transform_stream(proj.scaler, proj.pca, stream)
-    routing = run_routing(corpus, stream_z, proj, cfg, seed=1)
+    routing = run_routing(corpus, stream, proj, cfg, seed=1)
     routes = {a.sample_id: a.route for a in routing.assignments}
     assert len(routes) == len(stream)
     n_new = sum(1 for r in routes.values() if r is Route.NEW)
@@ -67,32 +66,42 @@ def test_routing_decomposition(small_data):
     assert len(member_ids) == len(corpus) + len(accepted)
 
 
-def test_transform_stream_matches_manual(small_data):
+def test_fit_projection_matches_manual(small_data):
     corpus, stream = small_data
     cfg = small_config()
     proj = fit_projection(corpus, stream, cfg.n_features)
-    z = transform_stream(proj.scaler, proj.pca, stream)
-    assert z.dim == cfg.n_features
-    want = transform_pca(proj.pca, apply_scaler(proj.scaler, stream.samples[0].features))
-    np.testing.assert_array_equal(z.samples[0].features, want)
-    assert z.samples[0].id == stream.samples[0].id
+    assert proj.corpus_z.shape == (len(corpus), cfg.n_features)
+    assert proj.stream_z.shape == (len(stream), cfg.n_features)
+    for data, z in ((corpus, proj.corpus_z), (stream, proj.stream_z)):
+        for i in (0, len(data) - 1):
+            want = transform_pca(proj.pca, apply_scaler(proj.scaler, data.samples[i].features))
+            np.testing.assert_array_equal(z[i], want)
 
 
 def test_run_pipeline_projects_each_sample_once(small_data, monkeypatch):
     corpus, stream = small_data
-    rows = {"matrix": 0, "single": 0}
     real = pipeline.transform_pca
 
     def spy(model, x):
         if np.ndim(x) == 1:
-            rows["single"] += 1
+            calls["single"] += 1
         else:
-            rows["matrix"] += len(x)
+            calls["matrix"] += 1
+            calls["rows"] += len(x)
         return real(model, x)
 
     monkeypatch.setattr(pipeline, "transform_pca", spy)
-    run_pipeline(small_config(repeats=3), data=(corpus, stream))
-    assert rows == {"matrix": len(corpus), "single": len(stream)}
+    cfg = small_config(repeats=1)
+    commands = {
+        "run": lambda: run_pipeline(small_config(repeats=3), data=(corpus, stream)),
+        "grid": lambda: run_grid(cfg, [4], ["okm"], data=(corpus, stream)),
+        "baseline": lambda: run_reference_baseline(cfg, [4], ["okm"], data=(corpus, stream)),
+        "sweep-tau": lambda: run_tau_sweep(cfg, [-2.0, 2.0], data=(corpus, stream)),
+    }
+    for name, command in commands.items():
+        calls = {"matrix": 0, "rows": 0, "single": 0}
+        command()
+        assert calls == {"matrix": 2, "rows": len(corpus) + len(stream), "single": 0}, name
 
 
 def test_run_pipeline_report_structure(small_data):

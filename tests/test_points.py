@@ -19,7 +19,7 @@ from famstream import decision, wknn
 from famstream.batch import Cluster
 from famstream.data import Route
 from famstream.decision import DecisionParams, accepts, route_sample
-from famstream.pipeline import PipelineConfig, build_known_model, fit_projection, transform_stream
+from famstream.pipeline import PipelineConfig, build_known_model, fit_projection
 from famstream.points import EPS, PointBuffer, condensed_dists, pair_dists, sq_dists
 from famstream.wknn import ReferenceSet, WKNNParams, classify
 
@@ -365,20 +365,19 @@ def test_accepts_survives_worst_case_row_errors(monkeypatch):
     assert mismatches == []
 
 
-def old_replay(known, ref, params, dp, stream):
+def old_replay(known, ref, params, dp, ids, stream_z):
     """Route the stream with the full-scan formulas on plain copies of the state."""
     members = {c.id: c.points.copy() for c in known.clusters}
     member_ids = {c.id: list(c.labels) for c in known.clusters}
     centroids = {c.id: c.centroid.copy() for c in known.clusters}
     ref_points, ref_labels = ref.points.copy(), list(ref.labels)
     routes = []
-    for sample in stream.samples:
-        x = sample.features
+    for sid, x in zip(ids, stream_z):
         label, _, _ = full_sort_classify(ref_points, ref_labels, params.k, params.weighting, x)
         if full_matrix_accepts(members[label], centroids[label], x, dp.tau):
             if dp.grow_members:
                 members[label] = np.vstack([members[label], x])
-                member_ids[label].append(sample.id)
+                member_ids[label].append(sid)
                 if dp.update_centroids:
                     c = centroids[label]
                     centroids[label] = c + (x - c) / len(members[label])
@@ -405,17 +404,17 @@ def test_routing_replay_matches_full_scan(small_data, grow_reference, grow_membe
     config = PipelineConfig(n_features=10, corpus_epochs=2, seed=5)
     proj = fit_projection(corpus, stream, config.n_features)
     start = build_known_model(corpus, proj.corpus_z, config, seed=config.seed)
-    z_stream = transform_stream(proj.scaler, proj.pca, stream)
-    n = len(z_stream.samples)
+    ids, z_stream = stream.ids(), proj.stream_z
+    n = len(ids)
     for tau, share in REPLAY_TAUS.items():
         known, ref = copy.deepcopy(start)
         dp = DecisionParams(tau=tau, grow_reference=grow_reference, grow_members=grow_members,
                             update_centroids=update_centroids)
-        want = old_replay(known, ref, config.wknn, dp, z_stream)
+        want = old_replay(known, ref, config.wknn, dp, ids, z_stream)
 
         routes = []
-        for sample in z_stream.samples:
-            out = route_sample(known, ref, config.wknn, dp, sample.features, sample.id)
+        for sid, x in zip(ids, z_stream):
+            out = route_sample(known, ref, config.wknn, dp, x, sid)
             routes.append((out.route, out.cluster_id))
         want_routes, members, member_ids, centroids, ref_points, ref_labels = want
         assert routes == want_routes

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from famstream.batch import ClustererSpec
 from famstream.data import DimensionMismatchError
@@ -156,6 +158,37 @@ def test_transform_pca_residual_orthogonal_to_components():
     reconstruction = model.mean + out @ model.components
     residual = x - reconstruction
     np.testing.assert_allclose(model.components @ residual, np.zeros(3), atol=1e-10)
+
+
+@st.composite
+def projection_cases(draw):
+    """A random PCA model (orthonormal rows) and a C- or Fortran-ordered
+    matrix whose entries span magnitudes 1e-150 to 1e150, plus one
+    contiguous row block of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 48)), draw(st.integers(1, 64))
+    k = draw(st.integers(1, d))
+    lo, hi = sorted(draw(st.lists(st.integers(-150, 150), min_size=2, max_size=2)))
+    X = rng.choice([-1.0, 1.0], size=(n, d)) * 10.0 ** rng.uniform(lo, hi, size=(n, d))
+    if draw(st.booleans()):
+        X = np.asfortranarray(X)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    mean = rng.normal(size=d) * 10.0 ** rng.uniform(lo, hi, size=d)
+    model = PCAModel(mean=mean, components=q[:, :k].T.copy(), variances=np.ones(k),
+                     n_components=k)
+    a = draw(st.integers(0, n - 1))
+    return model, X, a, draw(st.integers(a + 1, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=projection_cases())
+def test_transform_pca_rows_do_not_depend_on_their_neighbours(case):
+    model, X, a, b = case
+    Z = transform_pca(model, X)
+    assert transform_pca(model, X[a:b]).tobytes() == Z[a:b].tobytes()
+    for i in range(len(X)):
+        assert transform_pca(model, X[i]).tobytes() == Z[i].tobytes()
+        assert transform_pca(model, X[i : i + 1]).tobytes() == Z[i : i + 1].tobytes()
 
 
 def test_transform_pca_variances_match_empirical():
