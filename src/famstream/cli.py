@@ -9,6 +9,7 @@ and explicit flags override it. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -42,6 +43,7 @@ DEFAULT_OUTPUT_DIR = "famstream_out"
 DEFAULT_TAUS = "-5,-2,0,2,5"
 DEFAULT_FEATURE_CANDIDATES = "20,30,40,50,60,70,80"
 DEFAULT_CLUSTER_COUNTS = "4-10"
+CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(PipelineConfig))
 
 
 class UsageError(Exception):
@@ -101,33 +103,42 @@ def parse_float_list(text: str) -> list[float]:
 def _add_common(parser: argparse.ArgumentParser, timings: bool = False) -> None:
     """Data, model and output flags; --emit-timings only where timing files exist."""
     data = parser.add_argument_group("data")
-    data.add_argument("--corpus", help="corpus dataset file (csv or jsonl)")
-    data.add_argument("--stream", help="stream dataset file (csv or jsonl)")
-    data.add_argument("--data", help="single dataset file, split at --cutoff")
+    data.add_argument("--corpus", dest="corpus_path",
+                      help="corpus dataset file (csv or jsonl)")
+    data.add_argument("--stream", dest="stream_path",
+                      help="stream dataset file (csv or jsonl)")
+    data.add_argument("--data", dest="data_path", help="single dataset file, split at --cutoff")
     data.add_argument("--cutoff", help="year-month split point, e.g. 2018-11")
-    data.add_argument("--format", choices=("csv", "jsonl"), help="override format inference")
+    data.add_argument("--format", dest="fmt", choices=("csv", "jsonl"),
+                      help="override format inference")
 
     model = parser.add_argument_group("model")
     model.add_argument("--config", help="JSON config file; flags override its fields")
     model.add_argument("--n-features", type=int)
     model.add_argument("--corpus-clusters", type=int)
     model.add_argument("--corpus-epochs", type=int)
-    model.add_argument("--wknn-k", type=int)
-    model.add_argument("--wknn-weighting", choices=("uniform", "distance"))
-    model.add_argument("--tau", type=float)
-    model.add_argument("--freeze-centroids", action="store_true", default=None,
+    model.add_argument("--wknn-k", dest="wknn.k", type=int)
+    model.add_argument("--wknn-weighting", dest="wknn.weighting",
+                       choices=("uniform", "distance"))
+    model.add_argument("--tau", dest="decision.tau", type=float)
+    model.add_argument("--freeze-centroids", dest="decision.update_centroids",
+                       action="store_false", default=None,
                        help="do not move known centroids on acceptance")
-    model.add_argument("--freeze-members", action="store_true", default=None,
+    model.add_argument("--freeze-members", dest="decision.grow_members",
+                       action="store_false", default=None,
                        help="evaluate the rule against original members only")
-    model.add_argument("--no-grow-reference", action="store_true", default=None,
+    model.add_argument("--no-grow-reference", dest="decision.grow_reference",
+                       action="store_false", default=None,
                        help="do not append accepted samples to the classifier")
     model.add_argument("--online-algorithm", choices=ONLINE_ALGORITHMS)
     model.add_argument("--online-clusters", type=int)
     model.add_argument("--bsas-theta", type=float)
     model.add_argument("--repeats", type=int)
     model.add_argument("--seed", type=int)
-    model.add_argument("--no-silhouette", action="store_true", default=None)
-    model.add_argument("--no-known-metrics", action="store_true", default=None)
+    model.add_argument("--no-silhouette", dest="compute_silhouette",
+                       action="store_false", default=None)
+    model.add_argument("--no-known-metrics", dest="compute_known_metrics",
+                       action="store_false", default=None)
 
     out = parser.add_argument_group("output")
     out.add_argument("-o", "--output-dir")
@@ -150,48 +161,16 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     for key in ("wknn", "decision"):
         if not isinstance(base.get(key, {}), dict):
             raise UsageError(f"config field {key!r} must be a JSON object")
+    # Each flag's dest names its config field, or "section.field" for the
+    # wknn and decision sections; a flag that was not given is None.
     merged = dict(base)
-    wknn = dict(base.get("wknn", {}))
-    decision = dict(base.get("decision", {}))
-    overrides = {
-        "corpus_path": args.corpus,
-        "stream_path": args.stream,
-        "data_path": args.data,
-        "cutoff": args.cutoff,
-        "fmt": args.format,
-        "n_features": args.n_features,
-        "corpus_clusters": args.corpus_clusters,
-        "corpus_epochs": args.corpus_epochs,
-        "online_algorithm": args.online_algorithm,
-        "online_clusters": args.online_clusters,
-        "bsas_theta": args.bsas_theta,
-        "repeats": args.repeats,
-        "seed": args.seed,
-        "output_dir": args.output_dir,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    if args.wknn_k is not None:
-        wknn["k"] = args.wknn_k
-    if args.wknn_weighting is not None:
-        wknn["weighting"] = args.wknn_weighting
-    if args.tau is not None:
-        decision["tau"] = args.tau
-    if args.freeze_centroids:
-        decision["update_centroids"] = False
-    if args.freeze_members:
-        decision["grow_members"] = False
-    if args.no_grow_reference:
-        decision["grow_reference"] = False
-    if wknn:
-        merged["wknn"] = wknn
-    if decision:
-        merged["decision"] = decision
-    if args.no_silhouette:
-        merged["compute_silhouette"] = False
-    if args.no_known_metrics:
-        merged["compute_known_metrics"] = False
+    for dest, value in vars(args).items():
+        section, _, name = dest.rpartition(".")
+        if value is not None and (section or name) in CONFIG_FIELDS:
+            if section:
+                merged[section] = {**merged.get(section, {}), name: value}
+            else:
+                merged[name] = value
     try:
         config = PipelineConfig.from_dict(merged)
         config.validate()
@@ -346,8 +325,7 @@ def cmd_select_features(args) -> int:
             f"--candidates must lie in [1, min(dim={corpus.dim}, corpus size={len(corpus)})], "
             f"got {candidates}"
         )
-    corpus_x = corpus.matrix()
-    scaled = apply_scaler(fit_scaler(corpus_x), corpus_x)
+    scaled = apply_scaler(fit_scaler(corpus.features), corpus.features)
     (best_count, best_name), table = select_feature_count(
         scaled, candidates, specs, seed=config.seed
     )

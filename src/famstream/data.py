@@ -1,11 +1,13 @@
-"""Feature vectors, sample containers, file ingestion, and the time split.
+"""The columnar Dataset, file ingestion, and the time split.
 
-Feature vectors are plain 1-D float64 numpy arrays, validated once at the
-boundary (finite entries, uniform dimension) and treated as immutable
-afterwards. Datasets come in two interchange formats: CSV with header
-``id,family,first_seen,f0,...,f{d-1}`` and JSONL with one object per line.
-A CSV file is read in two streamed passes: one over its lines for the ids,
-dates and field counts, and one `np.loadtxt` over its feature columns.
+A Dataset holds four aligned columns: sample ids, one read-only (n, dim)
+float64 feature matrix, families and first_seen months. The matrix is
+checked once, when the Dataset is built (finite entries), and goes from the
+file to the projection without being split into rows. Datasets come in two
+interchange formats: CSV with header ``id,family,first_seen,f0,...,f{d-1}``
+and JSONL with one object per line. A CSV file is read in two streamed
+passes: one over its lines for the ids, dates and field counts, and one
+`np.loadtxt` over its feature columns.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import math
 import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -67,7 +70,8 @@ def parse_year_month(value: str) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Sample:
-    """One observation: id, feature vector, optional ground truth and date.
+    """One row of a Dataset, as `Dataset.samples` returns it: id, feature
+    vector, optional ground truth and date. famstream itself reads columns.
 
     ``family`` is evaluation-only ground truth; clustering and routing code
     never reads it. ``first_seen`` has year-month granularity.
@@ -93,47 +97,58 @@ class RouteAssignment:
     cluster_id: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """An ordered list of samples sharing one feature dimension."""
+    """Four aligned columns: sample ids, one (n, dim) float64 feature matrix,
+    families and first_seen months.
 
-    samples: list[Sample]
-    dim: int
+    Construction checks the columns and makes `features` read-only: it must
+    be a 2-D float64 matrix with one row per id, the ids must be unique, and
+    every feature must be finite (ValueError names the first bad sample).
+    """
+
+    ids: list[str]
+    features: np.ndarray
+    families: list[str | None]
+    first_seen: list[str | None]
+
+    def __post_init__(self):
+        x = self.features
+        if not isinstance(x, np.ndarray) or x.ndim != 2 or x.dtype != np.float64:
+            raise ValueError("features must be a 2-D float64 matrix")
+        if not len(self.ids) == len(self.families) == len(self.first_seen) == x.shape[0]:
+            raise ValueError("ids, feature rows, families and first_seen differ in length")
+        dups = sorted(sid for sid, count in Counter(self.ids).items() if count > 1)
+        if dups:
+            raise ValueError(f"duplicate sample ids: {dups}")
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+        if bad.size:
+            raise ValueError(f"sample {self.ids[bad[0]]!r} has a non-finite feature")
+        x.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
-    def matrix(self) -> np.ndarray:
-        """Stack all feature vectors into an (n, dim) array."""
-        if not self.samples:
-            return np.empty((0, self.dim), dtype=np.float64)
-        return np.stack([s.features for s in self.samples])
+    @property
+    def dim(self) -> int:
+        return self.features.shape[1]
 
-    def ids(self) -> list[str]:
-        return [s.id for s in self.samples]
+    @property
+    def samples(self) -> list[Sample]:
+        """One Sample per row; its features are a read-only view of that row."""
+        columns = (self.ids, self.features, self.families, self.first_seen)
+        return [Sample(*row) for row in zip(*columns)]
 
-    @classmethod
-    def from_samples(cls, samples: list[Sample], dim: int | None = None) -> "Dataset":
-        """Build a dataset, enforcing uniform dimension and unique ids."""
-        if not samples:
-            if dim is None:
-                raise ValueError("cannot infer dimension of an empty dataset")
-            return cls([], int(dim))
-        first = samples[0].features.shape[0]
-        if dim is not None and dim != first:
-            raise DimensionMismatchError(dim, first, f"sample {samples[0].id!r}")
-        for s in samples:
-            if s.features.shape[0] != first:
-                raise DimensionMismatchError(first, s.features.shape[0], f"sample {s.id!r}")
-        seen: set[str] = set()
-        dups: list[str] = []
-        for s in samples:
-            if s.id in seen:
-                dups.append(s.id)
-            seen.add(s.id)
-        if dups:
-            raise ValueError(f"duplicate sample ids: {sorted(set(dups))}")
-        return cls(list(samples), first)
+    def take(self, rows) -> "Dataset":
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        index = rows.tolist()
+        return Dataset(
+            [self.ids[i] for i in index],
+            self.features[rows],
+            [self.families[i] for i in index],
+            [self.first_seen[i] for i in index],
+        )
 
 
 def _infer_format(path: str | Path, fmt: str | None) -> str:
@@ -152,9 +167,12 @@ def _infer_format(path: str | Path, fmt: str | None) -> str:
 def _parse_feature(raw: str | float, line: int, column: str) -> float:
     # A text cell must be what np.loadtxt reads: after stripping whitespace, an
     # ASCII float literal. float() alone would also take "1_0" and non-ASCII
-    # digits, so the JSONL and CSV loaders would accept different files.
+    # digits, so the JSONL and CSV loaders would accept different files. A
+    # JSON true or false is no number either, though float() reads 1.0 or 0.0.
     try:
-        if isinstance(raw, str) and ("_" in raw or not raw.strip().isascii()):
+        if isinstance(raw, bool) or (
+            isinstance(raw, str) and ("_" in raw or not raw.strip().isascii())
+        ):
             raise ValueError(raw)
         value = float(raw)
     except (TypeError, ValueError, OverflowError):
@@ -186,9 +204,7 @@ def load_dataset(path: str | Path, fmt: str | None = None) -> Dataset:
     dataset; an empty JSONL file declares none and raises ValueError.
     """
     path = Path(path)
-    if _infer_format(path, fmt) == "csv":
-        return Dataset.from_samples(*_load_csv(path))
-    return Dataset.from_samples(_load_jsonl(path))
+    return _load_csv(path) if _infer_format(path, fmt) == "csv" else _load_jsonl(path)
 
 
 def _check_header(header: list[str]) -> None:
@@ -222,13 +238,15 @@ def _records(fh):
             yield (text.count(",") + 1, text.split(",", 3)[:3]) if text else (0, [])
 
 
-def _load_csv(path: Path) -> tuple[list[Sample], int]:
-    """The samples of a CSV file and the dimension its header declares."""
+def _load_csv(path: Path) -> Dataset:
+    """The dataset of a CSV file; its header declares the dimension."""
     # Pass 1 stops at the first row whose field count, id or date is wrong.
     # Pass 2 parses the features of the rows before it (and of that row, when
     # its field count is right), so that a bad number earlier in the file, or
     # in the row itself, is reported first, as a row-by-row parse would.
-    meta: list[tuple[str, str | None, str | None]] = []
+    ids: list[str] = []
+    families: list[str | None] = []
+    months: list[str | None] = []
     pending: DataFormatError | None = None
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -244,24 +262,25 @@ def _load_csv(path: Path) -> tuple[list[Sample], int]:
                     f"expected {len(header)} fields, got {n_fields}", line
                 )
                 break
-            sid, family, first_seen = head[0], head[1] or None, head[2] or None
-            meta.append((sid, family, first_seen))
+            sid, first_seen = head[0], head[2] or None
+            ids.append(sid)
+            families.append(head[1] or None)
+            months.append(first_seen)
             try:
                 _check_id_and_date(sid, first_seen, line)
             except DataFormatError as exc:
                 pending = exc
                 break
-    features = _read_features(path, header, len(meta)) if meta else []
+    features = _read_features(path, header, len(ids))
     if pending is not None:
         raise pending
-    return [
-        Sample(id=sid, features=row, family=family, first_seen=first_seen)
-        for (sid, family, first_seen), row in zip(meta, features)
-    ], len(header) - len(_RESERVED_COLUMNS)
+    return Dataset(ids, features, families, months)
 
 
 def _read_features(path: Path, header: list[str], n_rows: int) -> np.ndarray:
-    """Parse the feature columns of the first n_rows records into one read-only matrix."""
+    """Parse the feature columns of the first n_rows records into one matrix."""
+    if not n_rows:
+        return np.empty((0, len(header) - len(_RESERVED_COLUMNS)), dtype=np.float64)
     try:
         with warnings.catch_warnings():
             # loadtxt warns that blank lines do not count toward max_rows (as
@@ -282,7 +301,6 @@ def _read_features(path: Path, header: list[str], n_rows: int) -> np.ndarray:
         )
     if not np.isfinite(matrix).all():
         _raise_bad_cell(path, header, n_rows, "non-finite value")
-    matrix.setflags(write=False)
     return matrix
 
 
@@ -300,8 +318,11 @@ def _raise_bad_cell(path: Path, header: list[str], n_rows: int, cause) -> NoRetu
     raise DataFormatError(f"feature columns: {cause}")
 
 
-def _load_jsonl(path: Path) -> list[Sample]:
-    samples: list[Sample] = []
+def _load_jsonl(path: Path) -> Dataset:
+    ids: list[str] = []
+    rows: list[list[float]] = []
+    families: list[str | None] = []
+    months: list[str | None] = []
     dim: int | None = None
     with open(path, encoding="utf-8") as fh:
         for line, raw in enumerate(fh, start=1):
@@ -337,38 +358,38 @@ def _load_jsonl(path: Path) -> list[Sample]:
                     )
             first_seen = obj.get("first_seen") or None
             _check_id_and_date(sid, first_seen, line)
-            features = np.array(values, dtype=np.float64)
-            features.setflags(write=False)
-            samples.append(
-                Sample(id=str(sid), features=features, family=obj.get("family") or None,
-                       first_seen=first_seen)
-            )
-    return samples
+            ids.append(str(sid))
+            rows.append(values)
+            families.append(obj.get("family") or None)
+            months.append(first_seen)
+    if dim is None:
+        raise ValueError("cannot infer dimension of an empty dataset")
+    return Dataset(ids, np.array(rows, dtype=np.float64), families, months)
 
 
 def save_dataset(data: Dataset, path: str | Path, fmt: str | None = None) -> None:
-    """Write a dataset back out; loading the result returns identical samples."""
+    """Write a dataset back out; loading the result returns identical columns."""
     path = Path(path)
     fmt = _infer_format(path, fmt)
+    rows = zip(data.ids, data.features, data.families, data.first_seen)
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(list(_RESERVED_COLUMNS) + [f"f{i}" for i in range(data.dim)])
-            for s in data.samples:
+            for sid, features, family, first_seen in rows:
                 writer.writerow(
-                    [s.id, s.family or "", s.first_seen or ""]
-                    + [repr(float(v)) for v in s.features]
+                    [sid, family or "", first_seen or ""] + [repr(v) for v in features.tolist()]
                 )
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            for s in data.samples:
+            for sid, features, family, first_seen in rows:
                 fh.write(
                     json.dumps(
                         {
-                            "id": s.id,
-                            "family": s.family,
-                            "first_seen": s.first_seen,
-                            "features": [float(v) for v in s.features],
+                            "id": sid,
+                            "family": family,
+                            "first_seen": first_seen,
+                            "features": features.tolist(),
                         }
                     )
                     + "\n"
@@ -383,16 +404,13 @@ def split_by_time(data: Dataset, cutoff: str) -> tuple[Dataset, Dataset]:
     input order. Every sample must carry a first_seen date.
     """
     cut = parse_year_month(cutoff)
-    missing = [s.id for s in data.samples if s.first_seen is None]
+    missing = [sid for sid, month in zip(data.ids, data.first_seen) if month is None]
     if missing:
         shown = missing[:10]
         suffix = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
         raise ValueError(f"samples missing first_seen: {shown}{suffix}")
-    dated = [(parse_year_month(s.first_seen), s) for s in data.samples]
-    corpus = [s for month, s in dated if month < cut]
-    later = sorted((p for p in dated if p[0] >= cut), key=lambda p: p[0])  # stable
-    stream = [s for _, s in later]
-    return (
-        Dataset.from_samples(corpus, dim=data.dim),
-        Dataset.from_samples(stream, dim=data.dim),
-    )
+    months = [parse_year_month(month) for month in data.first_seen]
+    corpus = [i for i, month in enumerate(months) if month < cut]
+    stream = sorted((i for i, month in enumerate(months) if month >= cut),
+                    key=months.__getitem__)  # stable
+    return data.take(corpus), data.take(stream)

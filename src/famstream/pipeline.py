@@ -2,8 +2,8 @@
 stream, online-cluster the new-family route, and score the result.
 
 run_pipeline, run_grid, run_reference_baseline and run_tau_sweep share one
-core: fit_projection rejects non-finite input, fits standard score and PCA
-on the corpus and projects the corpus and the stream once per call, each as
+core: fit_projection fits standard score and PCA on the corpus's feature
+matrix and projects the corpus and the stream once per call, each as
 one matrix through preprocess.transform_pca, whose rows do not depend on
 the rows beside them; _routed_repeats, the one repeat loop, clusters the
 projected corpus with a batch SOM and routes each projected stream row in
@@ -112,10 +112,7 @@ class PipelineConfig:
                 )
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["wknn"] = {"k": self.wknn.k, "weighting": self.wknn.weighting}
-        d["decision"] = asdict(self.decision)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -151,12 +148,11 @@ def load_inputs(config: PipelineConfig) -> tuple[Dataset, Dataset]:
         return split_by_time(data, config.cutoff)
     corpus = load_dataset(config.corpus_path, config.fmt)
     stream = load_dataset(config.stream_path, config.fmt)
-    shared = sorted(set(corpus.ids()).intersection(stream.ids()))
+    shared = sorted(set(corpus.ids).intersection(stream.ids))
     if shared:
         raise ValueError(f"corpus and stream share {len(shared)} sample id(s): {shared[:10]}")
-    if stream.samples and all(s.first_seen is not None for s in stream.samples):
-        ordered = sorted(stream.samples, key=lambda s: s.first_seen)
-        stream = Dataset.from_samples(ordered, dim=stream.dim)
+    if None not in stream.first_seen:
+        stream = stream.take(sorted(range(len(stream)), key=stream.first_seen.__getitem__))
     return corpus, stream
 
 
@@ -187,27 +183,14 @@ class Projection:
     seconds: float
 
 
-def _reject_nonfinite(matrix: np.ndarray, data: Dataset, role: str) -> None:
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{role} sample {data.samples[bad[0]].id!r} has a non-finite feature")
-
-
 def fit_projection(corpus: Dataset, stream: Dataset, n_features: int) -> Projection:
-    """Fit scaler+PCA on the corpus and project the corpus and the stream.
-
-    Raises ValueError naming the first corpus or stream sample with a
-    non-finite feature.
-    """
+    """Fit scaler+PCA on the corpus and project the corpus and the stream."""
     t0 = time.perf_counter()
-    corpus_x, stream_x = corpus.matrix(), stream.matrix()
-    _reject_nonfinite(corpus_x, corpus, "corpus")
-    _reject_nonfinite(stream_x, stream, "stream")
-    scaler = fit_scaler(corpus_x)
-    corpus_scaled = apply_scaler(scaler, corpus_x)
+    scaler = fit_scaler(corpus.features)
+    corpus_scaled = apply_scaler(scaler, corpus.features)
     pca = fit_pca(corpus_scaled, n_features)
     corpus_z = transform_pca(pca, corpus_scaled)
-    stream_z = transform_pca(pca, apply_scaler(scaler, stream_x))
+    stream_z = transform_pca(pca, apply_scaler(scaler, stream.features))
     return Projection(scaler, pca, corpus_z, stream_z, time.perf_counter() - t0)
 
 
@@ -220,12 +203,12 @@ def build_known_model(
         k_units=config.corpus_clusters,
         epochs=config.corpus_epochs,
         seed=seed,
-        ids=corpus.ids(),
+        ids=corpus.ids,
     )
     cluster_of = known.assignments()
     ref = ReferenceSet(
         points=corpus_z,
-        labels=[cluster_of[sid] for sid in corpus.ids()],
+        labels=[cluster_of[sid] for sid in corpus.ids],
     )
     return known, ref
 
@@ -239,7 +222,7 @@ def run_routing(
     t1 = time.perf_counter()
     assignments = [
         route_sample(known, ref, config.wknn, config.decision, z, sid)
-        for sid, z in zip(stream.ids(), proj.stream_z, strict=True)
+        for sid, z in zip(stream.ids, proj.stream_z, strict=True)
     ]
     t2 = time.perf_counter()
     new = [i for i, a in enumerate(assignments) if a.route is Route.NEW]
@@ -272,20 +255,9 @@ class RepeatResult:
     timings: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "repeat": self.repeat,
-            "seed": self.seed,
-            "stream_size": self.stream_size,
-            "known_count": self.known_count,
-            "new_count": self.new_count,
-            "new_route_fraction": self.new_route_fraction,
-            "purity_new": self.purity_new,
-            "silhouette_new": self.silhouette_new,
-            "purity_known": self.purity_known,
-            "silhouette_known": self.silhouette_known,
-            "online_clusters_used": self.online_clusters_used,
-            "skipped": list(self.skipped),
-        }
+        d = asdict(self)
+        del d["timings"]
+        return d
 
 
 METRIC_FIELDS = (
@@ -336,9 +308,7 @@ def aggregate(values: list[float | None]) -> dict[str, float] | None:
 def _family_labels(*datasets: Dataset) -> dict[str, str]:
     labels: dict[str, str] = {}
     for ds in datasets:
-        for s in ds.samples:
-            if s.family is not None:
-                labels[s.id] = s.family
+        labels.update((sid, fam) for sid, fam in zip(ds.ids, ds.families) if fam is not None)
     return labels
 
 
@@ -700,7 +670,7 @@ def run_reference_baseline(
     """
     counts, algos = grid_axes(cluster_counts, algorithms)
     corpus, stream, labels, proj = _prepare(config, data)
-    ids = corpus.ids() + stream.ids()
+    ids = corpus.ids + stream.ids
     points = np.vstack([proj.corpus_z, proj.stream_z])
     axes = [
         (algo, count, r, repeat_seed(config.seed, r))
@@ -720,5 +690,5 @@ def run_tau_sweep(
     corpus, stream, _, proj = _prepare(config, data)
     known, ref = build_known_model(corpus, proj.corpus_z, config, repeat_seed(config.seed, 0))
     return sweep_tau(
-        known, ref, config.wknn, stream.ids(), proj.stream_z, taus, dp=config.decision
+        known, ref, config.wknn, stream.ids, proj.stream_z, taus, dp=config.decision
     )

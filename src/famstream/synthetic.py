@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, Sample, split_by_time
+from .data import Dataset, split_by_time
 
 DEFAULT_CUTOFF = "2018-11"
 
@@ -68,21 +68,18 @@ def make_family_dataset(
         noise = rng.normal(0.0, noise_scale, size=(n, dim))
         return centers[family] + body + noise
 
-    samples: list[Sample] = []
+    ids: list[str] = []
+    blocks: list[np.ndarray] = []
+    families: list[str] = []
+    first_seen: list[str] = []
 
     def emit(prefix: str, family: int, points: np.ndarray, months: list[str]) -> None:
         chosen = rng.choice(len(months), size=points.shape[0])
-        for row, month_idx in zip(points, chosen):
-            row = row.copy()
-            row.setflags(write=False)
-            samples.append(
-                Sample(
-                    id=f"{prefix}{len(samples):05d}",
-                    features=row,
-                    family=f"family{family:02d}",
-                    first_seen=months[int(month_idx)],
-                )
-            )
+        start = len(ids)
+        ids.extend(f"{prefix}{i:05d}" for i in range(start, start + points.shape[0]))
+        blocks.append(points)
+        families.extend([f"family{family:02d}"] * points.shape[0])
+        first_seen.extend(months[i] for i in chosen.tolist())
 
     for fam in range(n_known_families):
         emit("c", fam, draw(fam, corpus_per_family), _CORPUS_MONTHS)
@@ -92,8 +89,8 @@ def make_family_dataset(
         emit("s", fam, draw(fam, stream_new_per_family), _STREAM_MONTHS)
 
     # shuffle so within-month arrival order mixes families, like real feeds
-    order = rng.permutation(len(samples))
-    return Dataset.from_samples([samples[i] for i in order])
+    order = rng.permutation(len(ids))
+    return Dataset(ids, np.vstack(blocks), families, first_seen).take(order)
 
 
 def make_corpus_and_stream(seed: int = 0, **kwargs) -> tuple[Dataset, Dataset]:

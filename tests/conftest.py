@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from famstream.data import Dataset, Sample
+from famstream.data import Dataset
 from famstream.synthetic import make_corpus_and_stream
 
 # One fixed generator seed for the end-to-end benchmark; the pipeline's own
@@ -11,14 +11,10 @@ from famstream.synthetic import make_corpus_and_stream
 BENCHMARK_SEED = 11
 
 
-def make_dataset(rows, dim=None):
-    """rows: list of (id, features, family, first_seen) tuples."""
-    samples = []
-    for sid, feats, family, first_seen in rows:
-        arr = np.asarray(feats, dtype=np.float64)
-        arr.setflags(write=False)
-        samples.append(Sample(id=sid, features=arr, family=family, first_seen=first_seen))
-    return Dataset.from_samples(samples, dim=dim)
+def make_dataset(rows):
+    """rows: a non-empty list of (id, features, family, first_seen) tuples."""
+    ids, features, families, first_seen = map(list, zip(*rows))
+    return Dataset(ids, np.array(features, dtype=np.float64), families, first_seen)
 
 
 def blobs(rng, centers, n_per, std=0.5):

@@ -258,7 +258,7 @@ def test_criterion_7_grid_determinism(tmp_path, small_data):
 
 def test_criterion_8_pca_validity(benchmark_data, small_data):
     corpus, _ = benchmark_data
-    X = corpus.matrix()
+    X = corpus.features
     scaled = apply_scaler(fit_scaler(X), X)
     model = fit_pca(scaled, 40)
     gram = model.components @ model.components.T
@@ -269,7 +269,7 @@ def test_criterion_8_pca_validity(benchmark_data, small_data):
     np.testing.assert_allclose(emp, model.variances, rtol=1e-8, atol=1e-10)
 
     small_corpus, _ = small_data
-    small_X = small_corpus.matrix()
+    small_X = small_corpus.features
     small_scaled = apply_scaler(fit_scaler(small_X), small_X)
     specs = [ClustererSpec("kmeans4", "kmeans", {"k": 4}),
              ClustererSpec("som4", "som", {"k_units": 4, "epochs": 3})]

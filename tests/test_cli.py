@@ -11,6 +11,7 @@ import famstream
 from famstream import cli, pipeline
 from famstream.cli import main, parse_float_list, parse_int_list, UsageError
 from famstream.data import save_dataset
+from famstream.pipeline import PipelineConfig
 from famstream.synthetic import make_corpus_and_stream, make_family_dataset
 
 
@@ -103,6 +104,52 @@ def test_config_file_with_flag_override(tmp_path, data_files):
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["decision"]["tau"] == -1.0  # flag wins
     assert report["config"]["wknn"]["k"] == 5            # file survives
+
+
+def test_every_config_flag_reaches_its_field(tmp_path, data_files):
+    out = tmp_path / "out"
+    corpus, stream, combined = (str(data_files[k]) for k in ("corpus", "stream", "combined"))
+    # (flag tokens, config field or "section.field", the value report.json echoes)
+    table = [
+        (["--corpus", corpus], "corpus_path", corpus),
+        (["--stream", stream], "stream_path", stream),
+        (["--data", combined], "data_path", combined),
+        (["--cutoff", "2018-11"], "cutoff", "2018-11"),
+        (["--format", "csv"], "fmt", "csv"),
+        (["--n-features", "6"], "n_features", 6),
+        (["--corpus-clusters", "3"], "corpus_clusters", 3),
+        (["--corpus-epochs", "1"], "corpus_epochs", 1),
+        (["--wknn-k", "4"], "wknn.k", 4),
+        (["--wknn-weighting", "uniform"], "wknn.weighting", "uniform"),
+        (["--tau", "1.5"], "decision.tau", 1.5),
+        (["--freeze-centroids"], "decision.update_centroids", False),
+        (["--freeze-members"], "decision.grow_members", False),
+        (["--no-grow-reference"], "decision.grow_reference", False),
+        (["--online-algorithm", "bsas"], "online_algorithm", "bsas"),
+        (["--online-clusters", "5"], "online_clusters", 5),
+        (["--bsas-theta", "3.5"], "bsas_theta", 3.5),
+        (["--repeats", "2"], "repeats", 2),
+        (["--seed", "9"], "seed", 9),
+        (["--no-silhouette"], "compute_silhouette", False),
+        (["--no-known-metrics"], "compute_known_metrics", False),
+        (["-o", str(out)], "output_dir", str(out)),
+    ]
+    argv = ["run", *(token for flags, _, _ in table for token in flags)]
+    # the table holds every flag whose dest is a config field
+    dests = vars(cli.make_parser().parse_args(argv))
+    assert {d for d in dests if d.partition(".")[0] in cli.CONFIG_FIELDS} == \
+        {field for _, field, _ in table}
+
+    def echoed(config, field):
+        section, _, name = field.rpartition(".")
+        return config[section][name] if section else config[name]
+
+    defaults = PipelineConfig().to_dict()
+    assert main(argv) == 0
+    config = json.loads((out / "report.json").read_text())["config"]
+    for flags, field, value in table:
+        assert echoed(defaults, field) != value, flags  # the echo shows the flag was read
+        assert echoed(config, field) == value, flags
 
 
 def test_grid_outputs(tmp_path, data_files):
@@ -201,11 +248,13 @@ def test_data_errors_exit_2(tmp_path, capsys):
     dated = tmp_path / "dated.jsonl"
     dated.write_text('{"id": "x", "first_seen": 201811, "features": [1.0]}\n')
     assert main(["run", "--data", str(dated), "--cutoff", "2018-01"]) == 2
+    dated.write_text('{"id": "x", "first_seen": "2018-11", "features": [true]}\n')
+    assert main(["run", "--data", str(dated), "--cutoff", "2018-01"]) == 2
     corpus, stream = make_corpus_and_stream(seed=31, dim=20, corpus_per_family=60,
                                             stream_known_per_family=15,
                                             stream_new_per_family=25)
-    shared = corpus.samples[7].id
-    stream.samples[3] = dataclasses.replace(stream.samples[3], id=shared)
+    shared = corpus.ids[7]
+    stream = dataclasses.replace(stream, ids=[shared, *stream.ids[1:]])
     save_dataset(corpus, tmp_path / "corpus.csv")
     save_dataset(stream, tmp_path / "stream.csv")
     out = tmp_path / "out"

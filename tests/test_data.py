@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 from famstream.data import (
     DataFormatError,
     Dataset,
-    DimensionMismatchError,
-    Sample,
     load_dataset,
     parse_year_month,
     save_dataset,
     split_by_time,
 )
+from famstream.pipeline import PipelineConfig, load_inputs
 
 from conftest import make_dataset
 
@@ -170,7 +169,7 @@ def test_load_csv_from_pipe_is_a_data_error():
 def test_load_jsonl_sample_ids(tmp_path):
     path = tmp_path / "ids.jsonl"
     path.write_text('{"id": 0, "features": [1.0]}\n{"id": "x", "features": [2.0]}\n')
-    assert load_dataset(path).ids() == ["0", "x"]
+    assert load_dataset(path).ids == ["0", "x"]
     for sid in ("null", '""'):
         path.write_text('{"id": "x", "features": [1.0]}\n' + f'{{"id": {sid}, "features": [2.0]}}\n')
         with pytest.raises(DataFormatError, match="^line 2: empty sample id$"):
@@ -342,11 +341,107 @@ def test_split_by_time_missing_dates_lists_ids():
     assert "b" in str(err.value) and "c" in str(err.value)
 
 
-def test_dataset_from_samples_checks_dim():
-    good = Sample("a", np.array([1.0, 2.0]))
-    bad = Sample("b", np.array([1.0]))
-    with pytest.raises(DimensionMismatchError):
-        Dataset.from_samples([good, bad])
-    with pytest.raises(ValueError):
-        Dataset.from_samples([], dim=None)
-    assert Dataset.from_samples([], dim=4).dim == 4
+def test_dataset_checks_columns():
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])
+    for features in (x[0], x.astype(np.float32), x.tolist()):
+        with pytest.raises(ValueError, match="2-D float64 matrix"):
+            Dataset(["a", "b"], features, [None, None], [None, None])
+    with pytest.raises(ValueError, match="differ in length"):
+        Dataset(["a"], x, [None, None], [None, None])
+    with pytest.raises(ValueError, match=r"^duplicate sample ids: \['a'\]$"):
+        Dataset(["a", "a"], x, [None, None], [None, None])
+    bad = np.array([[1.0, 2.0], [np.inf, 0.0], [np.nan, 0.0]])
+    with pytest.raises(ValueError, match="^sample 'b' has a non-finite feature$"):
+        Dataset(["a", "b", "c"], bad, [None] * 3, [None] * 3)
+    empty = Dataset([], np.empty((0, 4)), [], [])
+    assert len(empty) == 0 and empty.dim == 4
+    assert empty.take([]).dim == 4
+
+
+def test_dataset_take_and_samples():
+    ds = make_dataset([("a", [1.0, 2.0], "f", "2018-01"), ("b", [3.0, 4.0], None, None),
+                       ("c", [5.0, 6.0], "g", "2018-03")])
+    assert not ds.features.flags.writeable
+    part = ds.take([2, 0])
+    assert (part.ids, part.families, part.first_seen) == (["c", "a"], ["g", "f"],
+                                                          ["2018-03", "2018-01"])
+    assert part.features.tolist() == [[5.0, 6.0], [1.0, 2.0]]
+    assert not part.features.flags.writeable
+    # each Sample row is a read-only view of the matrix, not a copy
+    for i, sample in enumerate(ds.samples):
+        assert (sample.id, sample.family, sample.first_seen) == (
+            ds.ids[i], ds.families[i], ds.first_seen[i])
+        assert np.shares_memory(sample.features, ds.features)
+        assert sample.features.base is ds.features
+        assert not sample.features.flags.writeable
+
+
+def test_load_jsonl_rejects_boolean_features(tmp_path):
+    path = tmp_path / "bool.jsonl"
+    path.write_text('{"id": "a", "features": [1.0, 2.0]}\n'
+                    '{"id": "b", "features": [true, false]}\n')
+    with pytest.raises(DataFormatError, match=r"^line 2: column 'f0': not a number: True$"):
+        load_dataset(path)
+
+
+_months = st.sampled_from(["2018-10", "2018-11", "2018-12", "2019-01"])
+
+
+@st.composite
+def dated_rows(draw):
+    n = draw(st.integers(0, 12))
+    dim = draw(st.integers(1, 3))
+    return [
+        (f"s{i}", draw(st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim)),
+         draw(st.none() | st.sampled_from(["x", "y"])), draw(_months))
+        for i in range(n)
+    ], dim
+
+
+def _columns(ds):
+    return [(sid, row.tobytes(), family, month)
+            for sid, row, family, month in zip(ds.ids, ds.features, ds.families, ds.first_seen)]
+
+
+def _reference(rows):
+    return [(sid, np.array(features, dtype=np.float64).tobytes(), family, month)
+            for sid, features, family, month in rows]
+
+
+def _dataset(rows, dim):
+    return make_dataset(rows) if rows else Dataset([], np.empty((0, dim)), [], [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=dated_rows(), cutoff=_months)
+def test_split_by_time_matches_per_row_reference(drawn, cutoff):
+    rows, dim = drawn
+    corpus, stream = split_by_time(_dataset(rows, dim), cutoff)
+    # per-row reference: corpus in input order; stream by month, ties in input order
+    cut = parse_year_month(cutoff)
+    earlier = [r for r in rows if parse_year_month(r[3]) < cut]
+    later = [r for r in rows if parse_year_month(r[3]) >= cut]
+    later.sort(key=lambda r: parse_year_month(r[3]))
+    assert _columns(corpus) == _reference(earlier)
+    assert _columns(stream) == _reference(later)
+    assert corpus.dim == stream.dim == dim
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn=dated_rows(), fmt=st.sampled_from(["csv", "jsonl"]),
+       undated=st.none() | st.integers(0, 11))
+def test_load_inputs_stream_order_matches_per_row_reference(tmp_path_factory, drawn, fmt,
+                                                             undated):
+    rows, dim = drawn
+    rows = [(sid, x, fam, None if i == undated else month)
+            for i, (sid, x, fam, month) in enumerate(rows)]
+    root = tmp_path_factory.mktemp("inputs")
+    save_dataset(make_dataset([("corpus0", [0.0] * dim, None, None)]), root / "corpus.csv")
+    stream_path = root / f"stream.{fmt if rows else 'csv'}"  # empty JSONL declares no dim
+    save_dataset(_dataset(rows, dim), stream_path)
+    _, stream = load_inputs(PipelineConfig(corpus_path=str(root / "corpus.csv"),
+                                           stream_path=str(stream_path)))
+    # per-row reference: by month, ties in file order, when every row is dated
+    if all(r[3] is not None for r in rows):
+        rows = sorted(rows, key=lambda r: r[3])
+    assert _columns(stream) == _reference(rows)

@@ -1,10 +1,11 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from famstream.data import Dataset, Route, Sample
+from famstream.data import Route
 from famstream import pipeline
 from famstream.cli import main
 from famstream.data import save_dataset
@@ -134,9 +135,10 @@ def test_run_pipeline_deterministic(small_data):
 
 
 def test_run_pipeline_empty_stream(small_data):
-    corpus, _ = small_data
+    corpus, stream = small_data
     cfg = small_config(repeats=1)
-    empty = Dataset([], corpus.dim)
+    empty = stream.take([])
+    assert empty.dim == corpus.dim
     report = run_pipeline(cfg, data=(corpus, empty))
     r = report.repeats[0]
     assert r.stream_size == 0 and r.new_count == 0
@@ -147,12 +149,8 @@ def test_run_pipeline_empty_stream(small_data):
 
 def test_run_pipeline_without_labels_flags_purity(small_data):
     corpus, stream = small_data
-    stripped_corpus = Dataset.from_samples(
-        [Sample(s.id, s.features, None, s.first_seen) for s in corpus.samples]
-    )
-    stripped_stream = Dataset.from_samples(
-        [Sample(s.id, s.features, None, s.first_seen) for s in stream.samples]
-    )
+    stripped_corpus = dataclasses.replace(corpus, families=[None] * len(corpus))
+    stripped_stream = dataclasses.replace(stream, families=[None] * len(stream))
     cfg = small_config(repeats=1)
     report = run_pipeline(cfg, data=(stripped_corpus, stripped_stream))
     r = report.repeats[0]
@@ -342,17 +340,13 @@ def test_run_reproduces_grid_cells(small_data):
 
 @pytest.mark.parametrize("role", ["corpus", "stream"])
 def test_non_finite_feature_names_the_sample(small_data, role):
+    # The Dataset rejects the row, so no pipeline input can hold a non-finite feature.
     corpus, stream = small_data
     target = corpus if role == "corpus" else stream
-    samples = list(target.samples)
-    bad = samples[7]
-    features = bad.features.copy()
-    features[3] = np.nan
-    samples[7] = Sample(bad.id, features, bad.family, bad.first_seen)
-    broken = Dataset.from_samples(samples)
-    data = (broken, stream) if role == "corpus" else (corpus, broken)
-    with pytest.raises(ValueError, match=f"{role} sample {bad.id!r}"):
-        run_pipeline(small_config(repeats=1), data=data)
+    features = target.features.copy()
+    features[7, 3] = np.nan
+    with pytest.raises(ValueError, match=f"^sample {target.ids[7]!r} has a non-finite feature$"):
+        dataclasses.replace(target, features=features)
 
 
 def test_baseline_cells_follow_grid_failure_policy(small_data, monkeypatch):

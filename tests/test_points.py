@@ -404,7 +404,7 @@ def test_routing_replay_matches_full_scan(small_data, grow_reference, grow_membe
     config = PipelineConfig(n_features=10, corpus_epochs=2, seed=5)
     proj = fit_projection(corpus, stream, config.n_features)
     start = build_known_model(corpus, proj.corpus_z, config, seed=config.seed)
-    ids, z_stream = stream.ids(), proj.stream_z
+    ids, z_stream = stream.ids, proj.stream_z
     n = len(ids)
     for tau, share in REPLAY_TAUS.items():
         known, ref = copy.deepcopy(start)

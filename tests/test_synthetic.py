@@ -38,19 +38,19 @@ def test_generator_deterministic():
                             stream_known_per_family=5, stream_new_per_family=5)
     b = make_family_dataset(seed=9, corpus_per_family=20,
                             stream_known_per_family=5, stream_new_per_family=5)
-    assert [s.id for s in a.samples] == [s.id for s in b.samples]
-    np.testing.assert_array_equal(a.matrix(), b.matrix())
+    assert (a.ids, a.families, a.first_seen) == (b.ids, b.families, b.first_seen)
+    assert a.features.tobytes() == b.features.tobytes()
     c = make_family_dataset(seed=10, corpus_per_family=20,
                             stream_known_per_family=5, stream_new_per_family=5)
-    assert not np.array_equal(a.matrix(), c.matrix())
+    assert not np.array_equal(a.features, c.features)
 
 
 def test_family_radii_bounded():
     data = make_family_dataset(seed=7, corpus_per_family=300,
                                stream_known_per_family=0, stream_new_per_family=0,
                                n_new_families=0, noise_scale=0.0)
-    X = data.matrix()
-    fams = np.array([s.family for s in data.samples])
+    X = data.features
+    fams = np.array(data.families)
     for fam in np.unique(fams):
         pts = X[fams == fam]
         radii = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
