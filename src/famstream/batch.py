@@ -1,9 +1,10 @@
 """Batch clustering of the initial corpus: k-means, DBSCAN, and batch SOM.
 
-All three return KnownClusters, the structure the streaming stage routes
-against: Clusters, each a `points.PointBuffer` of member points labeled by
-sample id, with an integer cluster id and a centroid kept equal to the member
-mean. Sample ids default to stringified point indices when none are given.
+All three return one integer cluster label per input row: dense ids
+0..C-1, and -1 for DBSCAN noise. `KnownClusters.from_labels` turns a dense
+labeling into the structure the streaming stage routes against: Clusters,
+each a `points.PointBuffer` of member points labeled by sample id, with an
+integer cluster id and a centroid kept equal to the member mean.
 """
 
 from __future__ import annotations
@@ -58,13 +59,17 @@ class KnownClusters:
                 return c
         raise KeyError(f"no cluster with id {cluster_id}")
 
-    def assignments(self) -> dict[str, int]:
-        """sample id -> cluster id over all members."""
-        out: dict[str, int] = {}
-        for c in self.clusters:
-            for sid in c.labels:
-                out[sid] = c.id
-        return out
+    @classmethod
+    def from_labels(cls, points, labels, ids) -> "KnownClusters":
+        """One Cluster per label 0..max(labels), with id = label: its members
+        are the rows with that label, in row order, labeled by the matching
+        ids. Rows labeled -1 (DBSCAN noise) join no cluster; a label in
+        0..max that no row carries raises ValueError."""
+        X = np.asarray(points, dtype=np.float64)
+        labels = np.asarray(labels)
+        ids = np.asarray(list(ids), dtype=object)
+        return cls([Cluster(c, X[labels == c], ids[labels == c])
+                    for c in range(int(labels.max()) + 1)])
 
     def to_dict(self) -> dict:
         return {
@@ -84,41 +89,23 @@ def _as_points(points) -> np.ndarray:
     return X
 
 
-def _default_ids(n: int, ids) -> list[str]:
-    if ids is None:
-        return [str(i) for i in range(n)]
-    ids = [str(i) for i in ids]
-    if len(ids) != n:
-        raise ValueError(f"{n} points but {len(ids)} ids")
-    return ids
-
-
-def _clusters_from_labels(X, labels, ids) -> KnownClusters:
-    known = KnownClusters()
-    next_id = 0
-    for lab in sorted(set(int(l) for l in labels)):
-        idx = [i for i, l in enumerate(labels) if int(l) == lab]
-        known.clusters.append(Cluster(next_id, X[idx], [ids[i] for i in idx]))
-        next_id += 1
-    return known
-
-
-def kmeans_batch(
-    points, k: int, seed: int = 0, max_iters: int = 100, ids=None
-) -> KnownClusters:
-    """Lloyd k-means from k distinct seeded initial centroids.
+def kmeans_batch(points, k: int, seed: int = 0, max_iters: int = 100) -> np.ndarray:
+    """Lloyd k-means from k distinct seeded initial centroids; returns each
+    row's cluster label in 0..k-1.
 
     Iterates assignment/update until the assignment reaches a fixpoint or
     max_iters passes. An emptied cluster is reseeded to the point farthest
     from its former centroid. Nearest-centroid ties go to the lowest cluster
-    id. Raises ValueError when k exceeds the number of distinct points.
+    id. Raises ValueError when k exceeds the number of distinct points or
+    max_iters is below 1, so every label 0..k-1 holds at least one row.
     """
     from scipy.spatial.distance import cdist  # as in metrics._cluster_sums
 
     X = _as_points(points)
-    ids = _default_ids(X.shape[0], ids)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be positive, got {max_iters}")
     distinct = np.unique(X, axis=0)
     if k > distinct.shape[0]:
         raise ValueError(f"k={k} exceeds the {distinct.shape[0]} distinct points")
@@ -142,18 +129,17 @@ def kmeans_batch(
         labels = new_labels
         for j in range(k):
             centroids[j] = X[labels == j].mean(axis=0)
-    return _clusters_from_labels(X, labels, ids)
+    return labels
 
 
-def dbscan(
-    points, eps: float, min_samples: int, ids=None
-) -> tuple[KnownClusters, list[str]]:
-    """Density-based clustering; returns (clusters, noise ids).
+def dbscan(points, eps: float, min_samples: int) -> np.ndarray:
+    """Density-based clustering; returns each row's cluster label, -1 for noise.
 
     A point is core when its eps-neighborhood (itself included) holds at
     least min_samples points. Clusters are the density-reachability closure
-    of core points, grown in scan order, so border points join the first
-    core cluster that reaches them. Deterministic for a fixed input order.
+    of core points, grown in scan order and numbered 0..C-1 in that order, so
+    border points join the first core cluster that reaches them.
+    Deterministic for a fixed input order.
     """
     from scipy.spatial.distance import cdist  # as in metrics._cluster_sums
 
@@ -162,7 +148,6 @@ def dbscan(
     if min_samples < 1:
         raise ValueError(f"min_samples must be >= 1, got {min_samples}")
     X = _as_points(points)
-    ids = _default_ids(X.shape[0], ids)
     n = X.shape[0]
 
     UNVISITED, NOISE = -2, -1
@@ -195,31 +180,20 @@ def dbscan(
             if jn.size >= min_samples:
                 queue.extend(jn[labels[jn] < 0].tolist())
         cid += 1
-
-    noise_ids = [ids[i] for i in range(n) if labels[i] == NOISE]
-    kept = [i for i in range(n) if labels[i] >= 0]
-    if not kept:
-        return KnownClusters(), noise_ids
-    known = _clusters_from_labels(
-        X[kept], [labels[i] for i in kept], [ids[i] for i in kept]
-    )
-    return known, noise_ids
+    return labels
 
 
-def som_batch(
-    points, k_units: int, epochs: int = 5, seed: int = 0, ids=None
-) -> KnownClusters:
+def som_batch(points, k_units: int, epochs: int = 5, seed: int = 0) -> np.ndarray:
     """Cluster by training the online SOM over shuffled epochs.
 
     Runs `epochs` seeded-shuffle passes of the stream update over the
-    points, then assigns each point to its best-matching unit. Units that
-    win nothing are dropped and surviving cluster ids are renumbered
-    densely; centroids are recomputed as member means. The learning rate and
-    radius start at `som_init`'s defaults and decay over all epochs' steps.
-    epochs=0 assigns by the initial random weights, still a valid partition.
+    points, then labels each point with its best-matching unit. Units that
+    win nothing are dropped and the surviving units renumbered densely, in
+    unit order. The learning rate and radius start at `som_init`'s defaults
+    and decay over all epochs' steps. epochs=0 assigns by the initial random
+    weights, still a valid partition.
     """
     X = _as_points(points)
-    ids = _default_ids(X.shape[0], ids)
     if k_units < 1:
         raise ValueError(f"k_units must be >= 1, got {k_units}")
     if epochs < 0:
@@ -230,8 +204,7 @@ def som_batch(
     for _ in range(epochs):
         for x in X[rng.permutation(X.shape[0])]:
             som_update(state, x)
-    labels = final_assign(state, X)
-    return _clusters_from_labels(X, labels, ids)
+    return np.unique(final_assign(state, X), return_inverse=True)[1]
 
 
 @dataclass(frozen=True)
@@ -243,15 +216,12 @@ class ClustererSpec:
     params: dict = field(default_factory=dict)
 
 
-def run_batch_clusterer(spec: ClustererSpec, points, seed: int = 0, ids=None) -> KnownClusters:
-    """Dispatch one ClustererSpec; DBSCAN noise stays unassigned."""
+def run_batch_clusterer(spec: ClustererSpec, points, seed: int = 0) -> np.ndarray:
+    """Dispatch one ClustererSpec; returns its labels, -1 for DBSCAN noise."""
     if spec.algorithm == "kmeans":
-        return kmeans_batch(points, seed=seed, ids=ids, **spec.params)
+        return kmeans_batch(points, seed=seed, **spec.params)
     if spec.algorithm == "som":
-        return som_batch(points, seed=seed, ids=ids, **spec.params)
+        return som_batch(points, seed=seed, **spec.params)
     if spec.algorithm == "dbscan":
-        known, _ = dbscan(points, ids=ids, **spec.params)
-        if not known.clusters:
-            raise ValueError("dbscan produced no clusters")
-        return known
+        return dbscan(points, **spec.params)
     raise ValueError(f"unknown batch clusterer {spec.algorithm!r}")

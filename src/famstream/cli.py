@@ -326,9 +326,12 @@ def cmd_select_features(args) -> int:
             f"got {candidates}"
         )
     scaled = apply_scaler(fit_scaler(corpus.features), corpus.features)
-    (best_count, best_name), table = select_feature_count(
-        scaled, candidates, specs, seed=config.seed
-    )
+    try:
+        (best_count, best_name), table = select_feature_count(
+            scaled, candidates, specs, seed=config.seed
+        )
+    except ValueError as exc:  # every cell failed: the clusterers chosen cannot score this corpus
+        raise UsageError(str(exc)) from None
     outdir = _outdir(config)
     write_feature_selection_table(outdir / "feature_count_silhouette.csv", table)
     write_json(

@@ -368,9 +368,16 @@ def _load_jsonl(path: Path) -> Dataset:
 
 
 def save_dataset(data: Dataset, path: str | Path, fmt: str | None = None) -> None:
-    """Write a dataset back out; loading the result returns identical columns."""
+    """Write a dataset back out; loading the result returns identical columns.
+
+    An empty dataset saves only as CSV, whose header keeps the dimension. An
+    empty JSONL file declares none, so that write raises ValueError before
+    any file is opened.
+    """
     path = Path(path)
     fmt = _infer_format(path, fmt)
+    if fmt == "jsonl" and len(data) == 0:
+        raise ValueError("an empty dataset cannot be saved as JSONL: it would lose its dimension")
     rows = zip(data.ids, data.features, data.families, data.first_seen)
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:

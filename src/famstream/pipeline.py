@@ -198,19 +198,12 @@ def build_known_model(
     corpus: Dataset, corpus_z: np.ndarray, config: PipelineConfig, seed: int
 ) -> tuple[KnownClusters, ReferenceSet]:
     """Cluster the projected corpus into known families; label a reference set."""
-    known = som_batch(
-        corpus_z,
-        k_units=config.corpus_clusters,
-        epochs=config.corpus_epochs,
-        seed=seed,
-        ids=corpus.ids,
+    labels = som_batch(
+        corpus_z, k_units=config.corpus_clusters, epochs=config.corpus_epochs, seed=seed
     )
-    cluster_of = known.assignments()
-    ref = ReferenceSet(
-        points=corpus_z,
-        labels=[cluster_of[sid] for sid in corpus.ids],
-    )
-    return known, ref
+    known = KnownClusters.from_labels(corpus_z, labels, corpus.ids)
+    # a list, not the array: ReferenceSet evaluates `labels or []`
+    return known, ReferenceSet(corpus_z, labels.tolist())
 
 
 def run_routing(

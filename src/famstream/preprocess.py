@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .batch import ClustererSpec, run_batch_clusterer
 from .data import check_dim
+from .metrics import mean_silhouette
 
 
 @dataclass(frozen=True)
@@ -165,16 +167,14 @@ def select_feature_count(
     For every candidate count, fits PCA on the scaled corpus, runs each
     clusterer spec on the projected points, and records the mean silhouette;
     the specs' labelings at one count are scored from one distance pass.
-    Failed cells (a clusterer error, or fewer than two clusters) are stored
-    with a None silhouette and skipped in the argmax. Purity is deliberately
-    never consulted here; selection must work without labels.
+    Failed cells (a clusterer error, DBSCAN noise, or fewer than two
+    clusters) are stored with a None silhouette and skipped in the argmax.
+    Purity is deliberately never consulted here; selection must work without
+    labels.
 
     Returns the best (count, clusterer name) pair and the full table. Ties
     prefer the smaller count, then clusterer order.
     """
-    from .batch import ClustererSpec, run_batch_clusterer  # deferred: avoids cycle at import
-    from .metrics import mean_silhouette
-
     X = _as_matrix(scaled_corpus)
     counts = sorted(set(int(c) for c in candidates))
     if not counts:
@@ -191,13 +191,14 @@ def select_feature_count(
     for count in counts:
         model = fit_pca(X, count)
         Z = transform_pca(model, X)
-        labelings: dict[int, list[int]] = {}
+        labelings: dict[int, np.ndarray] = {}
         for i, spec in enumerate(specs):
             try:
-                labels = _labels_from_clusters(run_batch_clusterer(spec, Z, seed=seed), X.shape[0])
+                labels = run_batch_clusterer(spec, Z, seed=seed)
             except ValueError:
                 continue
-            if len(set(labels)) >= 2:           # the silhouette needs two clusters
+            # scored only without noise and with the two clusters a silhouette needs
+            if labels.min() >= 0 and labels.max() >= 1:
                 labelings[i] = labels
         scores = dict(zip(labelings, mean_silhouette(Z, list(labelings.values()))))
         for i, spec in enumerate(specs):
@@ -209,13 +210,3 @@ def select_feature_count(
     if best is None:
         raise ValueError("every grid cell failed; no feature count can be selected")
     return best, table
-
-
-def _labels_from_clusters(known, n: int) -> list[int]:
-    labels = [-1] * n
-    for cluster in known.clusters:
-        for sid in cluster.labels:
-            labels[int(sid)] = cluster.id
-    if any(l == -1 for l in labels):
-        raise ValueError("clusterer left points unassigned")  # e.g. DBSCAN noise
-    return labels

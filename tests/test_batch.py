@@ -6,27 +6,35 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from famstream.batch import Cluster, KnownClusters, dbscan, kmeans_batch, som_batch
 
 from conftest import blobs
 
 
-def validate_known(known: KnownClusters):
-    """Check the structural invariants every batch result must satisfy."""
-    seen = set()
-    for c in known.clusters:
-        assert len(c) >= 1
-        np.testing.assert_allclose(c.centroid, c.points.mean(axis=0), atol=1e-9)
-        for sid in c.labels:
-            assert sid not in seen
-            seen.add(sid)
+def validate_labels(labels, n: int, noise: bool = False):
+    """Check what every batch labeling must satisfy: one np.intp label per
+    row, cluster ids dense in 0..C-1, and -1 (DBSCAN noise) only if allowed."""
+    assert labels.dtype == np.intp and labels.shape == (n,)
+    assert labels.min() >= (-1 if noise else 0)
+    assert set(labels[labels >= 0].tolist()) == set(range(int(labels.max()) + 1))
 
 
-def wcss(known: KnownClusters) -> float:
-    return sum(
-        float(((c.points - c.centroid) ** 2).sum()) for c in known.clusters
-    )
+def known_of(pts, labels) -> KnownClusters:
+    """The clusters of a labeling, the row indices as sample ids."""
+    return KnownClusters.from_labels(pts, labels, range(len(pts)))
+
+
+def partition(labels) -> set[frozenset[int]]:
+    """The rows of each cluster, noise left out."""
+    return {frozenset(np.flatnonzero(labels == c).tolist())
+            for c in range(int(labels.max()) + 1)}
+
+
+def wcss(pts, labels) -> float:
+    return sum(float(((m - m.mean(axis=0)) ** 2).sum())
+               for m in (pts[labels == c] for c in range(int(labels.max()) + 1)))
 
 
 def test_kmeans_two_separated_pairs():
@@ -34,9 +42,9 @@ def test_kmeans_two_separated_pairs():
     # seed 1 draws one initial centroid from each pair; Lloyd then converges
     # to the pair midpoints (an init inside one pair stays in that local
     # optimum, which is Lloyd behaving as specified)
-    known = kmeans_batch(pts, k=2, seed=1)
-    validate_known(known)
-    got = sorted(tuple(c.centroid) for c in known.clusters)
+    labels = kmeans_batch(pts, k=2, seed=1)
+    validate_labels(labels, 4)
+    got = sorted(tuple(c.centroid) for c in known_of(pts, labels).clusters)
     assert got == [(0.0, 0.5), (10.0, 0.5)]
 
     # exhaustive oracle: of all 2-partitions, the pair split minimizes WCSS
@@ -50,21 +58,22 @@ def test_kmeans_two_separated_pairs():
             total += float(((members - members.mean(axis=0)) ** 2).sum())
         if best is None or total < best[0]:
             best = (total, mask)
-    assert abs(wcss(known) - best[0]) <= 1e-12
+    assert abs(wcss(pts, labels) - best[0]) <= 1e-12
 
 
 def test_kmeans_k1_global_mean():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(25, 3))
-    known = kmeans_batch(pts, k=1, seed=4)
-    assert len(known.clusters) == 1
-    np.testing.assert_allclose(known.clusters[0].centroid, pts.mean(axis=0), atol=1e-12)
+    labels = kmeans_batch(pts, k=1, seed=4)
+    np.testing.assert_array_equal(labels, np.zeros(25, dtype=np.intp))
+    (cluster,) = known_of(pts, labels).clusters
+    np.testing.assert_allclose(cluster.centroid, pts.mean(axis=0), atol=1e-12)
 
 
 def test_kmeans_duplicate_points_k1():
     pts = np.tile([[2.0, 3.0]], (6, 1))
-    known = kmeans_batch(pts, k=1, seed=0)
-    np.testing.assert_array_equal(known.clusters[0].centroid, [2.0, 3.0])
+    labels = kmeans_batch(pts, k=1, seed=0)
+    np.testing.assert_array_equal(known_of(pts, labels).clusters[0].centroid, [2.0, 3.0])
 
 
 def test_kmeans_k_exceeds_distinct_points():
@@ -73,10 +82,16 @@ def test_kmeans_k_exceeds_distinct_points():
         kmeans_batch(pts, k=2, seed=0)
 
 
+def test_kmeans_needs_one_iteration():
+    # zero iterations would leave every row unlabeled (-1), which is DBSCAN's noise
+    with pytest.raises(ValueError, match="max_iters"):
+        kmeans_batch(np.eye(3), k=2, seed=0, max_iters=0)
+
+
 def test_kmeans_wcss_monotone_descent():
     rng = np.random.default_rng(13)
     pts, _ = blobs(rng, [(0, 0), (4, 4), (8, 0)], 30, std=1.5)
-    values = [wcss(kmeans_batch(pts, k=3, seed=7, max_iters=m)) for m in range(1, 8)]
+    values = [wcss(pts, kmeans_batch(pts, k=3, seed=7, max_iters=m)) for m in range(1, 8)]
     for earlier, later in zip(values, values[1:]):
         assert later <= earlier + 1e-9
 
@@ -85,10 +100,8 @@ def test_kmeans_deterministic_for_seed():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(40, 2))
     a = kmeans_batch(pts, k=4, seed=9)
-    b = kmeans_batch(pts, k=4, seed=9)
-    for ca, cb in zip(a.clusters, b.clusters):
-        np.testing.assert_array_equal(ca.centroid, cb.centroid)
-        assert ca.labels == cb.labels
+    validate_labels(a, 40)
+    np.testing.assert_array_equal(a, kmeans_batch(pts, k=4, seed=9))
 
 
 def brute_force_dbscan_partition(pts, eps, min_samples):
@@ -124,22 +137,17 @@ def test_dbscan_two_blobs_brute_force():
     a = rng.uniform(-0.5, 0.5, size=(20, 2))
     b = rng.uniform(-0.5, 0.5, size=(20, 2)) + [10.0, 0.0]
     pts = np.vstack([a, b])
-    known, noise = dbscan(pts, eps=2.0, min_samples=5)
-    validate_known(known)
-    assert len(known.clusters) == 2 and noise == []
-    got_partition = {
-        frozenset(int(sid) for sid in c.labels) for c in known.clusters
-    }
+    labels = dbscan(pts, eps=2.0, min_samples=5)
+    validate_labels(labels, 40)  # no noise
+    assert labels.max() == 1
     want_partition, core = brute_force_dbscan_partition(pts, 2.0, 5)
     assert core == set(range(40))  # everything is core here
-    assert got_partition == want_partition
+    assert partition(labels) == want_partition
 
 
 def test_dbscan_isolated_point_is_noise():
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [50.0, 50.0]])
-    known, noise = dbscan(pts, eps=1.0, min_samples=2)
-    assert noise == ["3"]
-    assert len(known.clusters) == 1
+    assert dbscan(pts, eps=1.0, min_samples=2).tolist() == [0, 0, 0, -1]
 
 
 def test_dbscan_core_partition_permutation_invariant():
@@ -148,10 +156,10 @@ def test_dbscan_core_partition_permutation_invariant():
     base_partition, core = brute_force_dbscan_partition(pts, 1.5, 4)
     for trial in range(5):
         perm = rng.permutation(len(pts))
-        known, _ = dbscan(pts[perm], eps=1.5, min_samples=4, ids=[str(i) for i in perm])
+        labels = dbscan(pts[perm], eps=1.5, min_samples=4)
         got_core_partition = {
-            frozenset(int(sid) for sid in c.labels if int(sid) in core)
-            for c in known.clusters
+            frozenset(int(perm[i]) for i in rows if int(perm[i]) in core)
+            for rows in partition(labels)
         }
         got_core_partition.discard(frozenset())
         assert got_core_partition == base_partition
@@ -201,21 +209,15 @@ TWO_CORES_ONE_BORDER = ([1.0, -1.0, -0.75, -0.5, 0.0, 2.0, 2.5, 2.75, 3.0], 1.0,
          min_samples=TWO_CORES_ONE_BORDER[2])
 def test_dbscan_labels_match_reference_loop(pts, eps, min_samples):
     pts = np.array(pts)
-    known, noise = dbscan(pts, eps=eps, min_samples=min_samples)
-    got = [-1] * len(pts)
-    for c in known.clusters:
-        for sid in c.labels:
-            got[int(sid)] = c.id
-    assert got == reference_dbscan_labels(pts, eps, min_samples)
-    assert noise == [str(i) for i, label in enumerate(got) if label == -1]
+    labels = dbscan(pts, eps=eps, min_samples=min_samples)
+    validate_labels(labels, len(pts), noise=True)
+    assert labels.tolist() == reference_dbscan_labels(pts, eps, min_samples)
 
 
 def test_dbscan_border_point_goes_to_first_cluster():
     pts, eps, min_samples = TWO_CORES_ONE_BORDER
-    known, noise = dbscan(np.array(pts)[:, None], eps=eps, min_samples=min_samples)
-    assert noise == []
-    assert [c.labels for c in known.clusters] == [["0", "1", "2", "3", "4"],
-                                                      ["5", "6", "7", "8"]]
+    labels = dbscan(np.array(pts)[:, None], eps=eps, min_samples=min_samples)
+    assert labels.tolist() == [0, 0, 0, 0, 0, 1, 1, 1, 1]
 
 
 def test_dbscan_parameter_validation():
@@ -230,29 +232,34 @@ def test_som_batch_four_blobs():
     rng = np.random.default_rng(8)
     centers = [(0, 0), (12, 0), (0, 12), (12, 12)]
     pts, labels = blobs(rng, centers, 40, std=0.8)
-    known = som_batch(pts, k_units=4, epochs=8, seed=2)
-    validate_known(known)
-    assert len(known.clusters) == 4
+    got = som_batch(pts, k_units=4, epochs=8, seed=2)
+    validate_labels(got, 160)
+    assert got.max() == 3
     # generator labels are the oracle: each cluster holds exactly one blob
-    for c in known.clusters:
-        blob_ids = {labels[int(sid)] for sid in c.labels}
+    for rows in partition(got):
+        blob_ids = {labels[i] for i in rows}
         assert len(blob_ids) == 1
-        assert len(c) == 40
+        assert len(rows) == 40
 
 
 def test_som_batch_single_unit():
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(30, 3))
-    known = som_batch(pts, k_units=1, epochs=2, seed=0)
-    assert len(known.clusters) == 1 and len(known.clusters[0]) == 30
+    labels = som_batch(pts, k_units=1, epochs=2, seed=0)
+    np.testing.assert_array_equal(labels, np.zeros(30, dtype=np.intp))
 
 
 def test_som_batch_zero_epochs_valid_partition():
     rng = np.random.default_rng(10)
     pts = rng.normal(size=(25, 2)) * 0.05  # near the initial weight range
-    known = som_batch(pts, k_units=3, epochs=0, seed=1)
-    validate_known(known)
-    assert sum(len(c) for c in known.clusters) == 25
+    validate_labels(som_batch(pts, k_units=3, epochs=0, seed=1), 25)
+
+
+def test_som_batch_drops_units_that_win_nothing():
+    # 10 units cannot all win among 5 points; the winners are renumbered densely
+    pts = np.random.default_rng(12).normal(size=(5, 2))
+    labels = som_batch(pts, k_units=10, epochs=0, seed=3)
+    assert set(labels.tolist()) == set(range(labels.max() + 1))
 
 
 def test_cluster_add_member_running_mean():
@@ -309,8 +316,47 @@ def test_cluster_centroid_tracks_member_mean(case, update):
     assert np.all(np.abs(cluster.centroid - points.mean(axis=0)) <= bound)
 
 
+@st.composite
+def labeled_points(draw):
+    """Points with random labels: dense cluster ids 0..C-1, some rows maybe -1."""
+    n = draw(st.integers(1, 30))
+    dim = draw(st.integers(1, 4))
+    points = draw(arrays(np.float64, (n, dim), elements=st.floats(
+        -1e6, 1e6, allow_nan=False, allow_subnormal=False)))
+    raw = np.array(draw(st.lists(st.integers(-1, 5), min_size=n, max_size=n)))
+    # renumber densely; -1, when drawn, sorts first and maps back to -1
+    labels = np.unique(raw, return_inverse=True)[1] - int(raw.min() < 0)
+    return points, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=labeled_points())
+def test_known_clusters_from_labels_holds_each_clusters_rows_in_order(case):
+    points, labels = case
+    ids = [f"s{i}" for i in range(len(points))]
+    known = KnownClusters.from_labels(points, labels, ids)
+    assert [c.id for c in known.clusters] == list(range(labels.max() + 1))
+    all_sq_norms = np.einsum("ij,ij->i", points, points)
+    for c in known.clusters:
+        rows = np.flatnonzero(labels == c.id)
+        assert c.labels == [ids[i] for i in rows]
+        assert c.points.tobytes() == points[rows].tobytes()
+        assert c.sq_norms.tobytes() == all_sq_norms[rows].tobytes()
+        assert c.max_sq_norm == all_sq_norms[rows].max()
+        assert c.centroid.tobytes() == points[labels == c.id].mean(axis=0).tobytes()
+    # noise rows join no cluster
+    assert sum(len(c) for c in known.clusters) == int((labels >= 0).sum())
+
+
+def test_known_clusters_from_labels_rejects_a_label_gap():
+    with pytest.raises(ValueError, match="at least one member"):
+        KnownClusters.from_labels(np.zeros((3, 2)), np.array([0, 2, 2]), ["a", "b", "c"])
+
+
 def test_known_clusters_serialization():
-    known = kmeans_batch(np.array([[0.0], [1.0], [10.0], [11.0]]), k=2, seed=1)
+    pts = np.array([[0.0], [1.0], [10.0], [11.0]])
+    known = KnownClusters.from_labels(pts, kmeans_batch(pts, k=2, seed=1), list("abcd"))
     d = known.to_dict()
     assert {c["id"] for c in d["clusters"]} == {c.id for c in known.clusters}
     assert all("centroid" in c and "member_ids" in c for c in d["clusters"])
+    assert sorted(m for c in d["clusters"] for m in c["member_ids"]) == list("abcd")

@@ -372,6 +372,16 @@ def test_select_features_usage_errors_exit_1(tmp_path, data_files, monkeypatch, 
         assert not out.exists()
 
 
+def test_select_features_with_every_cell_failed_exits_1(tmp_path, data_files, capsys):
+    # an eps this small makes every point DBSCAN noise, so no cell is scored
+    out = tmp_path / "out"
+    assert main(["select-features", "--data", str(data_files["combined"]), "--cutoff", "2018-11",
+                 *BASE, "--clusterers", "dbscan", "--dbscan-eps", "1e-9",
+                 "--candidates", "2,4", "-o", str(out)]) == 1
+    assert "usage error: every grid cell failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_errors_exit_3(tmp_path, data_files, monkeypatch, capsys):
     def failing_run(config, data=None):
         raise RuntimeError("boom")

@@ -295,6 +295,17 @@ def test_round_trip(tmp_path, fmt):
         np.testing.assert_array_equal(sa.features, sb.features)
 
 
+def test_empty_dataset_round_trips_as_csv_only(tmp_path):
+    empty = Dataset([], np.empty((0, 3)), [], [])
+    save_dataset(empty, tmp_path / "empty.csv")
+    back = load_dataset(tmp_path / "empty.csv")
+    assert len(back) == 0 and back.dim == 3
+    # an empty JSONL file declares no dimension, so it is never written
+    with pytest.raises(ValueError, match="cannot be saved as JSONL"):
+        save_dataset(empty, tmp_path / "empty.jsonl")
+    assert not (tmp_path / "empty.jsonl").exists()
+
+
 def test_split_by_time_boundary_month():
     ds = make_dataset([
         ("a", [0.0], None, "2018-10"),

@@ -11,6 +11,7 @@ from famstream.cli import main
 from famstream.data import save_dataset
 from famstream.pipeline import (
     PipelineConfig,
+    build_known_model,
     fit_projection,
     repeat_seed,
     run_grid,
@@ -65,6 +66,17 @@ def test_routing_decomposition(small_data):
     accepted = [sid for sid, r in routes.items() if r is Route.KNOWN]
     assert set(accepted) <= set(member_ids)
     assert len(member_ids) == len(corpus) + len(accepted)
+
+
+def test_reference_labels_name_the_cluster_holding_each_corpus_row(small_data):
+    corpus, stream = small_data
+    cfg = small_config()
+    proj = fit_projection(corpus, stream, cfg.n_features)
+    known, ref = build_known_model(corpus, proj.corpus_z, cfg, seed=1)
+    holder = {sid: c.id for c in known.clusters for sid in c.labels}
+    assert len(holder) == sum(len(c) for c in known.clusters) == len(corpus)
+    assert ref.labels == [holder[sid] for sid in corpus.ids]
+    assert ref.points.tobytes() == proj.corpus_z.tobytes()
 
 
 def test_fit_projection_matches_manual(small_data):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from famstream.batch import ClustererSpec
+from famstream.batch import ClustererSpec, run_batch_clusterer
 from famstream.data import DimensionMismatchError
 from famstream.metrics import mean_silhouette
 from famstream.preprocess import (
@@ -239,21 +239,21 @@ def test_select_feature_count_table_matches_independent_recompute():
     specs = [
         ClustererSpec("kmeans4", "kmeans", {"k": 4}),
         ClustererSpec("som4", "som", {"k_units": 4, "epochs": 3}),
+        # min_samples 1 leaves no noise; eps 0.8 gives 3 clusters at 2 features
+        # and 5 at 3, a singleton among them
+        ClustererSpec("dbscan", "dbscan", {"eps": 0.8, "min_samples": 1}),
     ]
     best, table = select_feature_count(scaled, [2, 3], specs, seed=1)
 
     # independent recompute: same clusterings, naive silhouette oracle
-    from famstream.batch import run_batch_clusterer
-    from famstream.preprocess import _labels_from_clusters
-
     oracle = {}
     for count in (2, 3):
         model = fit_pca(scaled, count)
         Z = transform_pca(model, scaled)
         for spec in specs:
-            known = run_batch_clusterer(spec, Z, seed=1)
-            labels = _labels_from_clusters(known, Z.shape[0])
-            oracle[(count, spec.name)] = naive_silhouette(Z, labels)
+            labels = run_batch_clusterer(spec, Z, seed=1)
+            assert labels.min() >= 0 and labels.max() >= 1
+            oracle[(count, spec.name)] = naive_silhouette(Z, labels.tolist())
     for cell in table:
         want = oracle[(cell.n_features, cell.clusterer)]
         assert abs(cell.mean_silhouette - want) <= 1e-9

@@ -3,8 +3,10 @@
 Regenerates the full and small synthetic fixtures (seed 11, the sizes of
 tests/conftest.py's benchmark_data and small_data, as one file each split at
 2018-11), runs run, grid, baseline, sweep-tau and select-features on both in
-subprocesses against the chosen source tree, runs `run` once more on a JSONL
-copy of the small fixture so that both loaders are covered, and prints one
+subprocesses against the chosen source tree (select-features twice: with its
+default clusterers, and with DBSCAN alone at a setting that leaves no noise,
+so that DBSCAN's labels are scored), runs `run` once more on a JSONL copy of
+the small fixture so that both loaders are covered, and prints one
 `path sha256` line per result file, headed by the BLAS thread setting. Two
 source trees give byte-identical results when their outputs are equal:
 
@@ -53,6 +55,8 @@ COMMANDS = (
     ("baseline", ["baseline", "--repeats", "2", "--cluster-counts", "4,7"]),
     ("tau", ["sweep-tau"]),
     ("select", ["select-features"]),
+    ("select-dbscan", ["select-features", "--clusterers", "dbscan", "--dbscan-eps", "5",
+                       "--dbscan-min-samples", "1", "--candidates", "20,40"]),
 )
 
 
