@@ -23,8 +23,8 @@ class Cluster(PointBuffer):
     points labeled by sample id.
 
     The streaming stage appends accepted samples with `add_member`; the
-    members' squared norms and the largest of them feed the witness test's
-    distance rows to x and to the centroid.
+    members' float32 mirror, their squared norms and the largest of them
+    feed the witness test's distance rows to x and to the centroid.
     """
 
     def __init__(self, cluster_id: int, points, member_ids):

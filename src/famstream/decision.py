@@ -7,12 +7,13 @@ past their current hull; negative tau admits only interior points and in
 particular rejects everything closer to the centroid than |tau| (no witness
 can exist there, by the triangle inequality).
 
-`accepts` takes the members' d(y, centroid) and d(y, x) from two
-matrix-vector products (`points.sq_dists`), whose error bounds tell which
-members' margins it can decide. Only members whose margin lies within the
-two bounds of zero are recomputed exactly, so the answer equals the exact
-rule's. When even the farthest member plus tau falls clearly short of
-d(x, centroid), no member can witness and the d(y, x) row is never formed.
+`accepts` takes the members' d(y, centroid) and d(y, x) from two float32
+matrix-vector products over the members' float32 mirror (`points.sq_dists`),
+whose error bounds tell which members' margins it can decide. Only members
+whose margin lies within the two bounds of zero are recomputed exactly, from
+the float64 rows, so the answer equals the exact rule's. When even the
+farthest member plus tau falls clearly short of d(x, centroid), no member
+can witness and the d(y, x) row is never formed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .batch import KnownClusters
 from .data import Route, RouteAssignment, check_dim
-from .points import exact_dists, sq_dists
+from .points import as_float32, exact_dists, sq_dists
 from .wknn import ReferenceSet, WKNNParams, classify
 
 
@@ -55,20 +56,25 @@ class DecisionParams:
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
-def accepts(members, centroid, x, tau: float, *, sq_norms=None, max_sq_norm=None) -> bool:
+def accepts(
+    members, centroid, x, tau: float, *, sq_norms=None, max_sq_norm=None, points32=None
+) -> bool:
     """True when some member y witnesses that x belongs to this cluster:
     d(y, c) + tau >= max(d(y, x), d(x, c)) with c the centroid, every d(y, .)
     as `points.exact_dists` computes it and the sum rounded once.
 
-    sq_norms and max_sq_norm, when given, must be the members' squared norms
-    and their maximum; a Cluster, like every PointBuffer, keeps both.
+    sq_norms, max_sq_norm and points32, when given, must be the members'
+    squared norms, their maximum and the members rounded to float32
+    (`points.as_float32`); a Cluster, like every PointBuffer, keeps all three.
 
     Why the bounds decide as the exact rule does. For one `sq_dists` row, with
-    n the dimension, u = EPS / 2, R = max|y| + |q| and err its bound,
-    a = sqrt(max(s, 0)) is within sqrt((n + 2) EPS) R + O(EPS R) of the exact
-    distance d. That stays below sqrt(err) by a room of at least
-    2 sqrt(EPS / (n + 6)) R - O(EPS R), about 4e-9 R at n = 40; each rounding
-    below costs a few u R and fits in it. Rounding is monotone and
+    n the dimension, u = EPS / 2, R = max|y| + |q| and err its bound, s errs
+    by at most e = (n + 2) (EPS + EPS32 / 4) R^2 to first order, and err
+    exceeds e by at least (3/4) (n + 10) EPS32 R^2. So a = sqrt(max(s, 0)) is
+    within sqrt(e) + O(EPS R) of the exact distance d, which stays below
+    sqrt(err) by a room of at least (err - e) / (2 sqrt(err)), about
+    (3/8) sqrt((n + 10) EPS32) R or 9e-4 R at n = 40; each rounding below
+    costs a few u R and fits in it. Rounding is monotone and
     D = max(d(y, x), d(x, c)) is a float, so the exact rule accepts y when
     d(y, c) + tau >= D in real arithmetic and rejects it when
     d(y, c) + tau < (1 - u) D, or < 0 if D = 0.
@@ -86,8 +92,8 @@ def accepts(members, centroid, x, tau: float, *, sq_norms=None, max_sq_norm=None
       d(y, c) + tau - D >= (rooms) - 2u slack - u A > 0, an exact accept, and
       m < -slack gives d(y, c) + tau - (1 - u) D < 0, an exact reject.
 
-    Members with |m| < slack, or all of them when a bound overflowed to inf
-    or nan, are rechecked with exact d(y, c) and d(y, x).
+    Members with |m| < slack are rechecked with exact d(y, c) and d(y, x);
+    all of them are when either row fell outside the bound's range.
     """
     M = np.asarray(members, dtype=np.float64)
     if M.ndim == 1:
@@ -102,23 +108,28 @@ def accepts(members, centroid, x, tau: float, *, sq_norms=None, max_sq_norm=None
         sq_norms = np.einsum("ij,ij->i", M, M)
     if max_sq_norm is None:
         max_sq_norm = float(sq_norms.max())
+    if points32 is None:
+        points32 = as_float32(M)
     d_xc = float(np.sqrt(np.sum((x - centroid) ** 2)))
-    sq, err_c = sq_dists(M, sq_norms, max_sq_norm, centroid)
-    d_yc = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
-    slack_c = math.sqrt(err_c)
-    if (float(d_yc.max()) + slack_c) + tau < d_xc:
-        return False
-    sq, err_x = sq_dists(M, sq_norms, max_sq_norm, x)
-    margin = d_yc + tau - np.maximum(np.sqrt(np.maximum(sq, 0.0)), d_xc)
-    slack = math.sqrt(err_x) + slack_c
-    if margin.max() >= slack:
-        return True
-    # Margins below -slack are negative exactly too; `~(margin < -slack)`
-    # keeps every member when a bound overflowed to inf or nan.
-    near = np.flatnonzero(~(margin < -slack))
-    if near.size == 0:
-        return False
-    rows = M[near]
+    sq, err_c = sq_dists(points32, sq_norms, max_sq_norm, centroid)
+    if sq is not None:
+        d_yc = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
+        slack_c = math.sqrt(err_c)
+        if (float(d_yc.max()) + slack_c) + tau < d_xc:
+            return False
+        sq, err_x = sq_dists(points32, sq_norms, max_sq_norm, x)
+    if sq is None:
+        rows = M
+    else:
+        margin = d_yc + tau - np.maximum(np.sqrt(np.maximum(sq, 0.0)), d_xc)
+        slack = math.sqrt(err_x) + slack_c
+        if margin.max() >= slack:
+            return True
+        # margins below -slack are negative exactly too
+        near = np.flatnonzero(margin >= -slack)
+        if near.size == 0:
+            return False
+        rows = M[near]
     d_yx = exact_dists(rows, x)
     return bool(np.any(exact_dists(rows, centroid) + tau >= np.maximum(d_yx, d_xc)))
 
@@ -148,6 +159,7 @@ def route_sample(
         dp.tau,
         sq_norms=cluster.sq_norms,
         max_sq_norm=cluster.max_sq_norm,
+        points32=cluster.points32,
     ):
         if dp.grow_members:
             cluster.add_member(x, sample_id, update_centroid=dp.update_centroids)
@@ -194,4 +206,5 @@ def sweep_tau(
         )
         fraction = new_count / len(ids) if ids else 0.0
         out.append(TauSweepPoint(tau=tau, new_fraction=fraction))
+        del k_copy, r_copy  # free this tau's state before the next copies
     return out

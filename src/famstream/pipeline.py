@@ -174,11 +174,15 @@ class RoutingPass:
 
 @dataclass
 class Projection:
-    """Scaler and PCA fit on the corpus; the corpus and the stream projected once."""
+    """Scaler and PCA fit on the corpus; the corpus and the stream projected
+    once, with their sample ids. Everything past preprocessing reads this, so
+    the raw feature matrices can be freed once it exists."""
 
     scaler: ScalerModel
     pca: PCAModel
+    corpus_ids: list[str]
     corpus_z: np.ndarray
+    stream_ids: list[str]
     stream_z: np.ndarray
     seconds: float
 
@@ -191,31 +195,31 @@ def fit_projection(corpus: Dataset, stream: Dataset, n_features: int) -> Project
     pca = fit_pca(corpus_scaled, n_features)
     corpus_z = transform_pca(pca, corpus_scaled)
     stream_z = transform_pca(pca, apply_scaler(scaler, stream.features))
-    return Projection(scaler, pca, corpus_z, stream_z, time.perf_counter() - t0)
+    return Projection(scaler, pca, corpus.ids, corpus_z, stream.ids, stream_z,
+                      time.perf_counter() - t0)
 
 
 def build_known_model(
-    corpus: Dataset, corpus_z: np.ndarray, config: PipelineConfig, seed: int
+    ids: list[str], corpus_z: np.ndarray, config: PipelineConfig, seed: int
 ) -> tuple[KnownClusters, ReferenceSet]:
-    """Cluster the projected corpus into known families; label a reference set."""
+    """Cluster the projected corpus, rows labeled by ids, into known families;
+    label a reference set."""
     labels = som_batch(
         corpus_z, k_units=config.corpus_clusters, epochs=config.corpus_epochs, seed=seed
     )
-    known = KnownClusters.from_labels(corpus_z, labels, corpus.ids)
+    known = KnownClusters.from_labels(corpus_z, labels, ids)
     # a list, not the array: ReferenceSet evaluates `labels or []`
     return known, ReferenceSet(corpus_z, labels.tolist())
 
 
-def run_routing(
-    corpus: Dataset, stream: Dataset, proj: Projection, config: PipelineConfig, seed: int
-) -> RoutingPass:
+def run_routing(proj: Projection, config: PipelineConfig, seed: int) -> RoutingPass:
     """Cluster the projected corpus and route every projected stream row."""
     t0 = time.perf_counter()
-    known, ref = build_known_model(corpus, proj.corpus_z, config, seed)
+    known, ref = build_known_model(proj.corpus_ids, proj.corpus_z, config, seed)
     t1 = time.perf_counter()
     assignments = [
         route_sample(known, ref, config.wknn, config.decision, z, sid)
-        for sid, z in zip(stream.ids, proj.stream_z, strict=True)
+        for sid, z in zip(proj.stream_ids, proj.stream_z, strict=True)
     ]
     t2 = time.perf_counter()
     new = [i for i, a in enumerate(assignments) if a.route is Route.NEW]
@@ -224,7 +228,7 @@ def run_routing(
         assignments=assignments,
         new_ids=[assignments[i].sample_id for i in new],
         new_points=proj.stream_z[new],
-        stream_size=len(stream),
+        stream_size=len(proj.stream_ids),
         timings={"corpus_clustering": t1 - t0, "wknn_total": t2 - t1},
     )
 
@@ -408,17 +412,20 @@ def check_data_shape(config: PipelineConfig, corpus: Dataset) -> None:
 
 def _prepare(
     config: PipelineConfig, data: tuple[Dataset, Dataset] | None
-) -> tuple[Dataset, Dataset, dict[str, str], Projection]:
-    """Validate and load the inputs, then fit the projection once per call."""
+) -> tuple[dict[str, str], Projection]:
+    """Validate and load the inputs, then fit the projection once per call.
+
+    Returns the family labels and the projection, which is all the callers
+    read afterwards: a caller that drops its `data` reference lets the raw
+    feature matrices be freed before routing starts."""
     config.validate(require_paths=data is None)
     corpus, stream = data if data is not None else load_inputs(config)
     check_data_shape(config, corpus)
-    labels = _family_labels(corpus, stream)
-    return corpus, stream, labels, fit_projection(corpus, stream, config.n_features)
+    return _family_labels(corpus, stream), fit_projection(corpus, stream, config.n_features)
 
 
 def _routed_repeats(
-    corpus: Dataset, stream: Dataset, proj: Projection, config: PipelineConfig
+    proj: Projection, config: PipelineConfig
 ) -> Iterator[tuple[int, int, RoutingPass, float, float]]:
     """Route the projected stream once per repeat; yields (repeat, base seed,
     routing, perf_counter at the repeat's start, preprocessing seconds:
@@ -426,7 +433,7 @@ def _routed_repeats(
     for r in range(config.repeats):
         base = repeat_seed(config.seed, r)
         started = time.perf_counter()
-        routing = run_routing(corpus, stream, proj, config, seed=base)
+        routing = run_routing(proj, config, seed=base)
         yield r, base, routing, started, proj.seconds if r == 0 else 0.0
 
 
@@ -440,11 +447,12 @@ def run_pipeline(config: PipelineConfig, data: tuple[Dataset, Dataset] | None = 
     the projection of corpus and stream) is timed into repeat 0's
     `preprocess` and `total`.
     """
-    corpus, stream, labels, proj = _prepare(config, data)
+    labels, proj = _prepare(config, data)
+    del data
     repeats: list[RepeatResult] = []
     first_assignments: list[RouteAssignment] = []
     first_models: dict = {}
-    for r, base, routing, started, preprocess in _routed_repeats(corpus, stream, proj, config):
+    for r, base, routing, started, preprocess in _routed_repeats(proj, config):
         cell = _cluster_cell(
             routing.new_points, config.online_algorithm, config.online_clusters, base, config
         )
@@ -637,9 +645,10 @@ def run_grid(
     with their error message and do not stop the grid.
     """
     counts, algos = grid_axes(cluster_counts, algorithms)
-    corpus, stream, labels, proj = _prepare(config, data)
+    labels, proj = _prepare(config, data)
+    del data
     cells: list[GridCell] = []
-    for r, base, routing, *_ in _routed_repeats(corpus, stream, proj, config):
+    for r, base, routing, *_ in _routed_repeats(proj, config):
         axes = [(algo, count, r, base) for algo in algos for count in counts]
         cells += _grid_cells(routing.new_ids, routing.new_points, axes, config, labels)
     return GridResult(cells=cells, summary=summarize(cells, counts, algos))
@@ -662,8 +671,9 @@ def run_reference_baseline(
     grid's failure policy (_grid_cells), and the sweep goes on.
     """
     counts, algos = grid_axes(cluster_counts, algorithms)
-    corpus, stream, labels, proj = _prepare(config, data)
-    ids = corpus.ids + stream.ids
+    labels, proj = _prepare(config, data)
+    del data
+    ids = proj.corpus_ids + proj.stream_ids
     points = np.vstack([proj.corpus_z, proj.stream_z])
     axes = [
         (algo, count, r, repeat_seed(config.seed, r))
@@ -680,8 +690,11 @@ def run_tau_sweep(
 ) -> list[TauSweepPoint]:
     """New-route fraction of the stream per tau, each from the pristine known
     model of repeat 0 (seed repeat_seed(config.seed, 0))."""
-    corpus, stream, _, proj = _prepare(config, data)
-    known, ref = build_known_model(corpus, proj.corpus_z, config, repeat_seed(config.seed, 0))
+    _, proj = _prepare(config, data)
+    del data
+    known, ref = build_known_model(
+        proj.corpus_ids, proj.corpus_z, config, repeat_seed(config.seed, 0)
+    )
     return sweep_tau(
-        known, ref, config.wknn, stream.ids, proj.stream_z, taus, dp=config.decision
+        known, ref, config.wknn, proj.stream_ids, proj.stream_z, taus, dp=config.decision
     )

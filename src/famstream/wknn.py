@@ -1,11 +1,11 @@
 """Distance-weighted k-nearest-neighbor classification (Dudani weighting).
 
 The reference set carries the clustered corpus: a `points.PointBuffer` whose
-labels are the points' cluster ids. Neighbor search scans every reference
-point once per query with one matrix-vector product (`points.sq_dists`), then
-computes exact distances only for the rows that can still be among the k
-nearest. The neighbors, their order and the vote are those of an exact full
-sort.
+labels are the points' cluster ids. Neighbor search screens every reference
+point once per query with one float32 matrix-vector product over the
+store's float32 mirror (`points.sq_dists`), then computes exact float64
+distances only for the rows that can still be among the k nearest. The
+neighbors, their order and the vote are those of an exact full sort.
 """
 
 from __future__ import annotations
@@ -85,13 +85,16 @@ def classify(
     x = np.asarray(x, dtype=np.float64)
     check_dim(ref.dim, x.shape[-1], "classify")
     k = params.k
-    sq, err = sq_dists(ref.points, ref.sq_norms, ref.max_sq_norm, x)
-    kth = np.partition(sq, k - 1)[k - 1]
-    # Rows beyond kth + 2 err are strictly farther, after rounding, than each
-    # of the k rows at or below kth, so they cannot be among the k nearest.
-    # Kept in index order, the rest sort stably into the full scan's order.
-    # `~(sq > limit)` keeps every row when the bound overflowed to inf or nan.
-    candidates = np.flatnonzero(~(sq > kth + 2.0 * err))
+    sq, err = sq_dists(ref.points32, ref.sq_norms, ref.max_sq_norm, x)
+    if sq is None:  # outside the bound's range: every row is a candidate
+        candidates = np.arange(len(ref))
+    else:
+        # Rows beyond kth + 2 err are strictly farther, after rounding, than
+        # each of the k rows at or below kth, so they cannot be among the k
+        # nearest. Kept in index order, the rest sort stably into the full
+        # scan's order.
+        kth = np.partition(sq, k - 1)[k - 1]
+        candidates = np.flatnonzero(sq <= kth + 2.0 * err)
     cand_dists = exact_dists(ref.points[candidates], x)
     pick = np.argsort(cand_dists, kind="stable")[:k]
     order = candidates[pick]

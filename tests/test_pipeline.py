@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from famstream.data import Route
 from famstream import pipeline
 from famstream.cli import main
-from famstream.data import save_dataset
+from famstream.data import Dataset, save_dataset
 from famstream.pipeline import (
     PipelineConfig,
     build_known_model,
@@ -21,6 +22,7 @@ from famstream.pipeline import (
     run_tau_sweep,
 )
 from famstream.preprocess import apply_scaler, transform_pca
+from famstream.synthetic import make_family_dataset
 from famstream import report as rpt
 
 
@@ -54,7 +56,7 @@ def test_routing_decomposition(small_data):
     corpus, stream = small_data
     cfg = small_config()
     proj = fit_projection(corpus, stream, cfg.n_features)
-    routing = run_routing(corpus, stream, proj, cfg, seed=1)
+    routing = run_routing(proj, cfg, seed=1)
     routes = {a.sample_id: a.route for a in routing.assignments}
     assert len(routes) == len(stream)
     n_new = sum(1 for r in routes.values() if r is Route.NEW)
@@ -72,7 +74,7 @@ def test_reference_labels_name_the_cluster_holding_each_corpus_row(small_data):
     corpus, stream = small_data
     cfg = small_config()
     proj = fit_projection(corpus, stream, cfg.n_features)
-    known, ref = build_known_model(corpus, proj.corpus_z, cfg, seed=1)
+    known, ref = build_known_model(corpus.ids, proj.corpus_z, cfg, seed=1)
     holder = {sid: c.id for c in known.clusters for sid in c.labels}
     assert len(holder) == sum(len(c) for c in known.clusters) == len(corpus)
     assert ref.labels == [holder[sid] for sid in corpus.ids]
@@ -395,3 +397,25 @@ def test_one_silhouette_call_per_scored_population(small_data, monkeypatch):
     baseline = run_reference_baseline(cfg, [3, 4], ["okm", "bsas"], data=small_data)
     assert calls == [(len(corpus) + len(stream), 8)]
     assert all(c.silhouette is not None for c in baseline.cells)
+
+
+def test_tau_sweep_frees_the_raw_features_before_routing(tmp_path, monkeypatch):
+    path = tmp_path / "all.csv"
+    save_dataset(make_family_dataset(seed=4, corpus_per_family=40, stream_known_per_family=10,
+                                     stream_new_per_family=20), path)
+    gc.collect()
+    existing = [o for o in gc.get_objects() if isinstance(o, Dataset)]
+    alive = []
+    real = pipeline.sweep_tau
+
+    def spy(*args, **kwargs):
+        gc.collect()
+        alive.extend(o.ids[:1] for o in gc.get_objects()
+                     if isinstance(o, Dataset) and not any(o is e for e in existing))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sweep_tau", spy)
+    config = PipelineConfig(data_path=str(path), cutoff="2018-11", n_features=10,
+                            corpus_epochs=1)
+    assert len(run_tau_sweep(config, [0.0])) == 1
+    assert alive == []

@@ -20,7 +20,16 @@ from famstream.batch import Cluster
 from famstream.data import Route
 from famstream.decision import DecisionParams, accepts, route_sample
 from famstream.pipeline import PipelineConfig, build_known_model, fit_projection
-from famstream.points import EPS, PointBuffer, condensed_dists, pair_dists, sq_dists
+from famstream.points import (
+    EPS,
+    EPS32,
+    R_RANGE,
+    PointBuffer,
+    as_float32,
+    condensed_dists,
+    pair_dists,
+    sq_dists,
+)
 from famstream.wknn import ReferenceSet, WKNNParams, classify
 
 
@@ -122,14 +131,38 @@ def test_sq_dists_within_bound(data, scale):
     points, x = data
     points, x = points * scale, x * scale
     buf = PointBuffer(points, [0] * len(points))
-    s, err = sq_dists(buf.points, buf.sq_norms, buf.max_sq_norm, x)
+    s, err = sq_dists(buf.points32, buf.sq_norms, buf.max_sq_norm, x)
     diff = points - x
     exact = np.einsum("ij,ij->i", diff, diff)
-    assert np.all(np.abs(s - exact) <= err)
+    r = math.sqrt(buf.max_sq_norm) + math.sqrt(float(x @ x))
+    if R_RANGE[0] <= r <= R_RANGE[1]:
+        assert np.all(np.abs(s - exact) <= err)
+    else:  # outside the float32 bound's range no row is formed
+        assert s is None and err == math.inf
+
+
+def test_sq_dists_bound_needs_its_float32_term():
+    """Rounding to float32 errs far beyond the float64 terms' part of the
+    bound, (n + 6) EPS R^2, on plain data, and stays within err."""
+    rng = np.random.default_rng(7)
+    points = rng.normal(size=(2000, 40)) / math.sqrt(40)
+    x = rng.normal(size=40) / math.sqrt(40)
+    buf = PointBuffer(points, [0] * len(points))
+    s, err = sq_dists(buf.points32, buf.sq_norms, buf.max_sq_norm, x)
+    diff = points - x
+    errors = np.abs(s - np.einsum("ij,ij->i", diff, diff))
+    r = math.sqrt(buf.max_sq_norm) + math.sqrt(float(x @ x))
+    assert errors.max() <= err
+    assert errors.max() > (40 + 6) * EPS * r * r
 
 
 def same_bits(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_mirrored(store):
+    assert store.points32.dtype == np.float32
+    assert same_bits(store.points32, store.points.astype(np.float32))
 
 
 @st.composite
@@ -166,16 +199,25 @@ def test_deep_copies_grow_independently(case):
     initial, before, after = case
     for make, grow in store_kinds(initial):
         original, twin, clone_twin = make(), make(), make()
+        assert_mirrored(original)
         for i, (x, update) in enumerate(before):
             for store in (original, twin, clone_twin):
                 grow(store, x, i, update)
+                assert_mirrored(store)
         clone = copy.deepcopy(original)
+        assert_mirrored(clone)
         for i, (to_clone, x, update) in enumerate(after, start=len(before)):
             for store in (clone, clone_twin) if to_clone else (original, twin):
                 grow(store, x, i, update)
+                assert_mirrored(store)
         for got, want in ((original, twin), (clone, clone_twin)):
             assert type(got) is type(want) and got.labels == want.labels
             assert same_bits(got.points, want.points)
+            assert same_bits(got.points32, want.points32)
+            if isinstance(got, ReferenceSet):
+                loaded = ReferenceSet.from_dict(got.to_dict())
+                assert same_bits(loaded.points, got.points)
+                assert_mirrored(loaded)
             assert same_bits(got.sq_norms, want.sq_norms)
             assert got.max_sq_norm == want.max_sq_norm == got.sq_norms.max()
             if isinstance(want, Cluster):
@@ -228,7 +270,7 @@ def test_classify_recomputes_only_candidates(spy_exact):
     ring = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [5.0, 5.0]])
     check_classify(ring, [5, 6, 7, 8, 9], 2, "distance", np.zeros(2))
     assert spy_exact["wknn"][-1] == 4
-    # squares overflow, so the bound does too: every row is a candidate
+    # norms far beyond the bound's range: every row is a candidate
     check_classify(points[:50] * 1e200, [i % 3 for i in range(50)], 5, "distance",
                    np.zeros(6))
     assert spy_exact["wknn"][-1] == 50
@@ -246,6 +288,42 @@ def test_decisions_far_from_the_origin():
         for tau in (-2e-5, -1e-5, 0.0, 1e-5):
             want = full_matrix_accepts(points, centroid, x, tau)
             assert accepts(points, centroid, x, tau) == want
+
+
+@st.composite
+def extreme_cases(draw):
+    """Members and x at scales 1e-100 to 1e100, one of them beyond 1e20 or
+    below 1e-20: outside the float32 bound's range, or inside it with rows
+    that underflow float32 (or, beyond 3.4e38, overflow it). Rows repeat
+    from a pool, and tau is a multiple of the larger scale."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extreme = draw(st.one_of(st.integers(21, 100), st.integers(-100, -21)))
+    other = draw(st.integers(-100, 100))
+    e_members, e_x = (extreme, other) if draw(st.booleans()) else (other, extreme)
+    pool = 10.0**e_members * rng.normal(size=(draw(st.integers(1, n)), d))
+    members = pool[rng.integers(0, len(pool), size=n)]
+    x = 10.0**e_x * rng.normal(size=d)
+    tau = draw(st.floats(-2, 2)) * 10.0 ** max(e_members, e_x)
+    labels = rng.integers(0, 3, size=n).tolist()
+    return members, x, tau, labels, int(rng.integers(1, n + 1))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(case=extreme_cases())
+def test_decisions_beyond_the_float32_range(case):
+    members, x, tau, labels, k = case
+    check_classify(members, labels, k, "distance", x)
+    centroid = members.mean(axis=0)
+    want = full_matrix_accepts(members, centroid, x, tau)
+    assert accepts(members, centroid, x, tau) == want
+    cluster = Cluster(0, members[:1], ["m0"])  # the rest arrive through add
+    for i, y in enumerate(members[1:], start=1):
+        cluster.add(y, f"m{i}")
+    assert accepts(cluster.points, centroid, x, tau, sq_norms=cluster.sq_norms,
+                   max_sq_norm=cluster.max_sq_norm, points32=cluster.points32) == want
 
 
 @st.composite
@@ -326,9 +404,10 @@ def test_accepts_survives_worst_case_row_errors(monkeypatch):
     only the two-row slack covers that.
 
     Real rounding stays far below the bound, so a stand-in for `sq_dists`
-    returns the exact sums of squares moved by (n + 2) / (n + 6) * err, the
-    bound's first-order part: the centroid row one way and the sample row
-    the other, told apart by the query, in both directions. Members lie
+    returns the exact sums of squares of the float64 members moved by
+    (n + 2) / (n + 6) * err, inside the bound by more than `accepts`' roundings
+    need: the centroid row one way and the sample row the other, told apart
+    by the query, in both directions. Members lie
     within about that shift's square root of a centroid far from the origin
     and x near the origin, so err_c is about four times err_x and the
     centroid row's error after the square root is near its largest.
@@ -342,16 +421,17 @@ def test_accepts_survives_worst_case_row_errors(monkeypatch):
         unit /= np.linalg.norm(unit, axis=1)[:, None]
         centroid = 10.0 ** rng.uniform(-3, 6) * unit[0]
         x = np.zeros(d) if rng.integers(2) else 1e-3 * rng.normal(size=d) * centroid
-        shift = (d + 2) * EPS * 4.0 * float(centroid @ centroid)
+        bound = (d + 10) * EPS32 + (d + 6) * EPS  # err / R^2
+        shift = (d + 2) / (d + 6) * bound * 4.0 * float(centroid @ centroid)
         members = centroid + rng.uniform(0, 1.5, size=(n, 1)) * math.sqrt(shift) * unit[1:]
         sq_norms = np.einsum("ij,ij->i", members, members)
-        _, err_c = real(members, sq_norms, float(sq_norms.max()), centroid)
+        _, err_c = real(as_float32(members), sq_norms, float(sq_norms.max()), centroid)
         dist = lambda a, b: float(np.sqrt(np.sum((a - b) ** 2)))  # noqa: E731
         tau0 = min(max(dist(y, x), dist(x, centroid)) - dist(y, centroid) for y in members)
         for sign in (1.0, -1.0):
-            def stand_in(points, sq_norms, max_sq_norm, q, sign=sign):
-                _, err = real(points, sq_norms, max_sq_norm, q)
-                diff = points - q
+            def stand_in(points32, sq_norms, max_sq_norm, q, sign=sign, members=members):
+                _, err = real(points32, sq_norms, max_sq_norm, q)
+                diff = members - q
                 toward = sign if np.array_equal(q, centroid) else -sign
                 shifted = np.einsum("ij,ij->i", diff, diff) + toward * (d + 2) / (d + 6) * err
                 return shifted, err
@@ -403,7 +483,7 @@ def test_routing_replay_matches_full_scan(small_data, grow_reference, grow_membe
     corpus, stream = small_data
     config = PipelineConfig(n_features=10, corpus_epochs=2, seed=5)
     proj = fit_projection(corpus, stream, config.n_features)
-    start = build_known_model(corpus, proj.corpus_z, config, seed=config.seed)
+    start = build_known_model(proj.corpus_ids, proj.corpus_z, config, seed=config.seed)
     ids, z_stream = stream.ids, proj.stream_z
     n = len(ids)
     for tau, share in REPLAY_TAUS.items():

@@ -3,11 +3,14 @@
 Regenerates the full and small synthetic fixtures (seed 11, the sizes of
 tests/conftest.py's benchmark_data and small_data, as one file each split at
 2018-11), runs run, grid, baseline, sweep-tau and select-features on both in
-subprocesses against the chosen source tree (select-features twice: with its
-default clusterers, and with DBSCAN alone at a setting that leaves no noise,
-so that DBSCAN's labels are scored), runs `run` once more on a JSONL copy of
-the small fixture so that both loaders are covered, and prints one
-`path sha256` line per result file, headed by the BLAS thread setting. Two
+subprocesses against the chosen source tree (run twice: at the defaults, and
+with every growth switch off and a uniform five-neighbour vote at tau 0, so
+that the reference set and the member lists hold different rows;
+select-features twice: with its default clusterers, and with DBSCAN alone at
+a setting that leaves no noise, so that DBSCAN's labels are scored), runs
+`run` once more on a JSONL copy of the small fixture so that both loaders are
+covered, and prints one `path sha256` line per result file, headed by the
+BLAS thread setting. Two
 source trees give byte-identical results when their outputs are equal:
 
     python tools/parity.py > change.txt
@@ -51,6 +54,9 @@ save_dataset(small, "small.jsonl")
 
 COMMANDS = (
     ("run", ["run", "--repeats", "3"]),
+    ("run-ablate", ["run", "--repeats", "1", "--freeze-members", "--no-grow-reference",
+                    "--freeze-centroids", "--wknn-weighting", "uniform", "--wknn-k", "5",
+                    "--tau", "0"]),
     ("grid", ["grid", "--repeats", "2", "--cluster-counts", "4-6"]),
     ("baseline", ["baseline", "--repeats", "2", "--cluster-counts", "4,7"]),
     ("tau", ["sweep-tau"]),
