@@ -53,18 +53,12 @@ class KnownClusters:
 
     clusters: list[Cluster] = field(default_factory=list)
 
-    def cluster_by_id(self, cluster_id: int) -> Cluster:
-        for c in self.clusters:
-            if c.id == cluster_id:
-                return c
-        raise KeyError(f"no cluster with id {cluster_id}")
-
     @classmethod
     def from_labels(cls, points, labels, ids) -> "KnownClusters":
-        """One Cluster per label 0..max(labels), with id = label: its members
-        are the rows with that label, in row order, labeled by the matching
-        ids. Rows labeled -1 (DBSCAN noise) join no cluster; a label in
-        0..max that no row carries raises ValueError."""
+        """One Cluster per label 0..max(labels), with id = label = its index in
+        `clusters`, which routing looks clusters up by: its members are the rows
+        with that label, in row order, labeled by the matching ids. Rows labeled
+        -1 (DBSCAN noise) join no cluster; a missing label raises ValueError."""
         X = np.asarray(points, dtype=np.float64)
         labels = np.asarray(labels)
         ids = np.asarray(list(ids), dtype=object)

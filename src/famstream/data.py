@@ -20,7 +20,6 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import NoReturn
 
@@ -81,20 +80,6 @@ class Sample:
     features: np.ndarray
     family: str | None = None
     first_seen: str | None = None
-
-
-class Route(str, Enum):
-    KNOWN = "known"
-    NEW = "new"
-
-
-@dataclass(frozen=True)
-class RouteAssignment:
-    """Routing outcome for one stream sample."""
-
-    sample_id: str
-    route: Route
-    cluster_id: int
 
 
 @dataclass(frozen=True, eq=False)

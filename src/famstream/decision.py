@@ -1,11 +1,12 @@
 """The known-vs-new routing rule for stream samples.
 
-A sample stays in the known cluster the classifier picked only when some
-existing member y witnesses d(y, centroid) + tau >= max(d(y, x),
-d(x, centroid)), all distances Euclidean. Positive tau lets clusters expand
-past their current hull; negative tau admits only interior points and in
-particular rejects everything closer to the centroid than |tau| (no witness
-can exist there, by the triangle inequality).
+`route_sample` returns (the known cluster the classifier proposed,
+accepted): a sample is accepted there only when some existing member y
+witnesses d(y, centroid) + tau >= max(d(y, x), d(x, centroid)), all
+distances Euclidean. Positive tau lets clusters expand past their current
+hull; negative tau admits only interior points and in particular rejects
+everything closer to the centroid than |tau| (no witness can exist there,
+by the triangle inequality).
 
 `accepts` takes the members' d(y, centroid) and d(y, x) from two float32
 matrix-vector products over the members' float32 mirror (`points.sq_dists`),
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .batch import KnownClusters
-from .data import Route, RouteAssignment, check_dim
+from .data import check_dim
 from .points import as_float32, exact_dists, sq_dists
 from .wknn import ReferenceSet, WKNNParams, classify
 
@@ -110,7 +111,8 @@ def accepts(
         max_sq_norm = float(sq_norms.max())
     if points32 is None:
         points32 = as_float32(M)
-    d_xc = float(np.sqrt(np.sum((x - centroid) ** 2)))
+    with np.errstate(over="ignore"):  # an overflowing d(x, c) is inf, which decides
+        d_xc = float(np.sqrt(np.sum((x - centroid) ** 2)))
     sq, err_c = sq_dists(points32, sq_norms, max_sq_norm, centroid)
     if sq is not None:
         d_yc = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
@@ -141,17 +143,17 @@ def route_sample(
     dp: DecisionParams,
     x,
     sample_id: str,
-) -> RouteAssignment:
-    """Route one stream sample to its known cluster or to the new-family pool.
+) -> tuple[int, bool]:
+    """Route one stream sample: (proposed known cluster id, accepted).
 
     The classifier proposes a known cluster; the rule then accepts or
     rejects. Acceptance mutates state according to dp (member list,
-    centroid, reference set); rejection leaves everything untouched. The
-    returned cluster_id is the proposed known cluster either way; for a New
-    route the caller owns the eventual online-cluster id.
+    centroid, reference set), with sample_id labeling the new member;
+    rejection leaves everything untouched and sends the sample to the
+    new-family route, whose online-cluster id the caller owns.
     """
     label, _ = classify(ref, params, x)
-    cluster = known.cluster_by_id(label)
+    cluster = known.clusters[label]
     if accepts(
         cluster.points,
         cluster.centroid,
@@ -165,8 +167,8 @@ def route_sample(
             cluster.add_member(x, sample_id, update_centroid=dp.update_centroids)
         if dp.grow_reference:
             ref.add(x, label)
-        return RouteAssignment(sample_id, Route.KNOWN, label)
-    return RouteAssignment(sample_id, Route.NEW, label)
+        return label, True
+    return label, False
 
 
 @dataclass(frozen=True)
@@ -201,7 +203,7 @@ def sweep_tau(
         r_copy = copy.deepcopy(ref)
         dpt = replace(base, tau=tau)
         new_count = sum(
-            route_sample(k_copy, r_copy, params, dpt, x, sid).route is Route.NEW
+            not route_sample(k_copy, r_copy, params, dpt, x, sid)[1]
             for sid, x in zip(ids, points, strict=True)
         )
         fraction = new_count / len(ids) if ids else 0.0

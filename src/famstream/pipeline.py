@@ -8,8 +8,9 @@ one matrix through preprocess.transform_pca, whose rows do not depend on
 the rows beside them; _routed_repeats, the one repeat loop, clusters the
 projected corpus with a batch SOM and routes each projected stream row in
 chronological order (WKNN proposes a known cluster, the expansion rule
-accepts it or queues the sample for the online clusterer); _cluster_cell
-runs one cell's online clusterer over one population, and
+accepts it or queues the sample for the online clusterer) into two
+columns, each row's proposed cluster and accepted flag; _cluster_cell runs
+one cell's online clusterer over one population, and
 _score_population scores every labeling of a population (purity each, and
 all silhouettes from one distance pass); _grid_cells runs a population's
 cells and then scores them together; summarize aggregates grid and baseline
@@ -41,7 +42,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .batch import KnownClusters, som_batch
-from .data import Dataset, Route, RouteAssignment, load_dataset, parse_year_month, split_by_time
+from .data import Dataset, load_dataset, parse_year_month, split_by_time
 from .decision import DecisionParams, TauSweepPoint, route_sample, sweep_tau
 from .metrics import mean_silhouette, purity
 from .online import StreamingClusterer, final_assign
@@ -158,18 +159,17 @@ def load_inputs(config: PipelineConfig) -> tuple[Dataset, Dataset]:
 
 @dataclass
 class RoutingPass:
-    """Everything the routing stage produced for one repeat."""
+    """What routing produced for one repeat: `proposed` (WKNN's known cluster)
+    and `accepted` (the rule kept the sample there), aligned with the stream's
+    rows; `new`, the rejected rows in stream order, with their ids and points."""
 
     known: KnownClusters
-    assignments: list[RouteAssignment]
+    proposed: np.ndarray
+    accepted: np.ndarray
+    new: np.ndarray
     new_ids: list[str]
     new_points: np.ndarray
-    stream_size: int
     timings: dict[str, float]
-
-    @property
-    def new_fraction(self) -> float:
-        return len(self.new_ids) / self.stream_size if self.stream_size else 0.0
 
 
 @dataclass
@@ -207,9 +207,7 @@ def build_known_model(
     labels = som_batch(
         corpus_z, k_units=config.corpus_clusters, epochs=config.corpus_epochs, seed=seed
     )
-    known = KnownClusters.from_labels(corpus_z, labels, ids)
-    # a list, not the array: ReferenceSet evaluates `labels or []`
-    return known, ReferenceSet(corpus_z, labels.tolist())
+    return KnownClusters.from_labels(corpus_z, labels, ids), ReferenceSet(corpus_z, labels)
 
 
 def run_routing(proj: Projection, config: PipelineConfig, seed: int) -> RoutingPass:
@@ -217,18 +215,19 @@ def run_routing(proj: Projection, config: PipelineConfig, seed: int) -> RoutingP
     t0 = time.perf_counter()
     known, ref = build_known_model(proj.corpus_ids, proj.corpus_z, config, seed)
     t1 = time.perf_counter()
-    assignments = [
-        route_sample(known, ref, config.wknn, config.decision, z, sid)
-        for sid, z in zip(proj.stream_ids, proj.stream_z, strict=True)
-    ]
+    proposed = np.zeros(len(proj.stream_ids), dtype=np.intp)
+    accepted = np.zeros(len(proj.stream_ids), dtype=bool)
+    for i, (sid, z) in enumerate(zip(proj.stream_ids, proj.stream_z, strict=True)):
+        proposed[i], accepted[i] = route_sample(known, ref, config.wknn, config.decision, z, sid)
     t2 = time.perf_counter()
-    new = [i for i, a in enumerate(assignments) if a.route is Route.NEW]
+    new = np.flatnonzero(~accepted)
     return RoutingPass(
         known=known,
-        assignments=assignments,
-        new_ids=[assignments[i].sample_id for i in new],
+        proposed=proposed,
+        accepted=accepted,
+        new=new,
+        new_ids=[proj.stream_ids[i] for i in new],
         new_points=proj.stream_z[new],
-        stream_size=len(proj.stream_ids),
         timings={"corpus_clustering": t1 - t0, "wknn_total": t2 - t1},
     )
 
@@ -274,9 +273,9 @@ class RunReport:
     repeats: list[RepeatResult]
     aggregates: dict[str, dict[str, float]]
 
-    # first repeat's artifacts, for serialization
-    first_assignments: list[RouteAssignment] = field(default_factory=list)
-    first_models: dict = field(default_factory=dict)
+    # first repeat's artifacts: stream ids, accepted, known or emission-time online ids
+    first_assignments: tuple[list[str], np.ndarray, np.ndarray]
+    first_models: dict
 
     def to_dict(self) -> dict:
         return {
@@ -450,8 +449,6 @@ def run_pipeline(config: PipelineConfig, data: tuple[Dataset, Dataset] | None = 
     labels, proj = _prepare(config, data)
     del data
     repeats: list[RepeatResult] = []
-    first_assignments: list[RouteAssignment] = []
-    first_models: dict = {}
     for r, base, routing, started, preprocess in _routed_repeats(proj, config):
         cell = _cluster_cell(
             routing.new_points, config.online_algorithm, config.online_clusters, base, config
@@ -469,14 +466,15 @@ def run_pipeline(config: PipelineConfig, data: tuple[Dataset, Dataset] | None = 
         else:
             pur_known = sil_known = None
             skipped.append("known: metrics disabled")
+        n, n_new = len(routing.accepted), len(routing.new)
         repeats.append(
             RepeatResult(
                 repeat=r,
                 seed=base,
-                stream_size=routing.stream_size,
-                known_count=routing.stream_size - len(routing.new_ids),
-                new_count=len(routing.new_ids),
-                new_route_fraction=routing.new_fraction,
+                stream_size=n,
+                known_count=n - n_new,
+                new_count=n_new,
+                new_route_fraction=n_new / n if n else 0.0,
                 purity_new=pur_new,
                 silhouette_new=sil_new,
                 purity_known=pur_known,
@@ -492,7 +490,9 @@ def run_pipeline(config: PipelineConfig, data: tuple[Dataset, Dataset] | None = 
             )
         )
         if r == 0:
-            first_assignments = _emission_assignments(routing, cell.emitted)
+            clusters = routing.proposed.copy()
+            clusters[routing.new] = cell.emitted  # one online id per pushed row
+            first_assignments = (proj.stream_ids, routing.accepted, clusters)
             first_models = {
                 "scaler": proj.scaler.to_dict(),
                 "pca": proj.pca.to_dict(),
@@ -508,20 +508,6 @@ def run_pipeline(config: PipelineConfig, data: tuple[Dataset, Dataset] | None = 
         first_assignments=first_assignments,
         first_models=first_models,
     )
-
-
-def _emission_assignments(
-    routing: RoutingPass, emitted: list[int]
-) -> list[RouteAssignment]:
-    """Rewrite New rows with the online cluster index assigned at push time."""
-    online_of = dict(zip(routing.new_ids, emitted))
-    out: list[RouteAssignment] = []
-    for a in routing.assignments:
-        if a.route is Route.NEW and a.sample_id in online_of:
-            out.append(RouteAssignment(a.sample_id, a.route, int(online_of[a.sample_id])))
-        else:
-            out.append(a)
-    return out
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,7 @@ def sq_dists(
     product is formed and the result is (None, inf): the caller must decide
     every row exactly.
     """
-    xx = float(x @ x)
+    xx = float(np.vdot(x, x))  # x @ x's BLAS dot, but an overflow is inf without a warning
     r = math.sqrt(max_sq_norm) + math.sqrt(xx)
     if not R_RANGE[0] <= r <= R_RANGE[1]:
         return None, math.inf

@@ -24,7 +24,8 @@ import csv
 import json
 from pathlib import Path
 
-from .data import RouteAssignment
+import numpy as np
+
 from .decision import TauSweepPoint
 from .pipeline import GridCell, GridResult, GridSummaryRow, RunReport
 from .preprocess import FeatureSelectionCell
@@ -64,12 +65,13 @@ def write_json(path: str | Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def write_assignments(path: str | Path, assignments: list[RouteAssignment]) -> None:
-    _write_csv(
-        Path(path),
-        ASSIGNMENTS_HEADER,
-        [(a.sample_id, a.route.value, a.cluster_id) for a in assignments],
-    )
+def write_assignments(
+    path: str | Path, ids: list[str], accepted: np.ndarray, cluster_ids: np.ndarray
+) -> None:
+    """One row per stream sample from the routing columns: id, "known" where
+    accepted and "new" elsewhere, and the known or online cluster id."""
+    routes = ["known" if ok else "new" for ok in accepted]
+    _write_csv(Path(path), ASSIGNMENTS_HEADER, zip(ids, routes, cluster_ids.tolist()))
 
 
 def write_grid_results(path: str | Path, cells: list[GridCell]) -> None:
@@ -142,7 +144,7 @@ def write_run_outputs(outdir: str | Path, report: RunReport, emit_timings: bool 
     outdir = Path(outdir)
     write_json(outdir / "report.json", report.to_dict())
     write_json(outdir / "metrics.json", {"aggregates": report.aggregates})
-    write_assignments(outdir / "assignments.csv", report.first_assignments)
+    write_assignments(outdir / "assignments.csv", *report.first_assignments)
     for name, payload in report.first_models.items():
         if payload is not None:
             write_json(outdir / "models" / f"{name}.json", payload)

@@ -54,7 +54,7 @@ class ReferenceSet(PointBuffer):
             if dim is None:
                 raise ValueError("an empty ReferenceSet needs an explicit dim")
             points = np.empty((0, int(dim)))
-        super().__init__(points, [int(l) for l in (labels or [])], dim)
+        super().__init__(points, [int(l) for l in ([] if labels is None else labels)], dim)
 
     def add(self, x, label: int) -> None:
         """Append one labeled point; later queries may select it."""

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from famstream.batch import Cluster, KnownClusters
-from famstream.data import Route
 from famstream.decision import DecisionParams, accepts, route_sample, sweep_tau
 from famstream.wknn import ReferenceSet, WKNNParams
 
@@ -79,9 +78,8 @@ def test_route_sample_interior_acceptance_mutates_state():
     dp = DecisionParams(tau=0.0)
     x = np.array([1.2, 0.1])
     before_ref = len(ref)
-    out = route_sample(known, ref, WKNNParams(k=3), dp, x, "new-sample")
-    assert out.route is Route.KNOWN and out.cluster_id == 0
-    cluster = known.cluster_by_id(0)
+    assert route_sample(known, ref, WKNNParams(k=3), dp, x, "new-sample") == (0, True)
+    cluster = known.clusters[0]
     assert len(cluster) == 5
     assert cluster.labels[-1] == "new-sample"
     np.testing.assert_allclose(cluster.centroid, cluster.points.mean(axis=0), atol=1e-9)
@@ -93,8 +91,8 @@ def test_route_sample_far_point_routes_new_without_mutation():
     dp = DecisionParams(tau=0.0)
     snapshot = copy.deepcopy(known)
     before_ref = len(ref)
-    out = route_sample(known, ref, WKNNParams(k=3), dp, np.array([10.0, 9.0]), "far")
-    assert out.route is Route.NEW
+    _, accepted = route_sample(known, ref, WKNNParams(k=3), dp, np.array([10.0, 9.0]), "far")
+    assert not accepted
     assert len(ref) == before_ref
     for c_now, c_before in zip(known.clusters, snapshot.clusters):
         assert len(c_now) == len(c_before)
@@ -105,28 +103,28 @@ def test_route_sample_far_point_routes_new_without_mutation():
 def test_route_sample_negative_tau_rejects_near_centroid():
     known, ref = two_cluster_state()
     dp = DecisionParams(tau=-2.0)
-    centroid = known.cluster_by_id(0).centroid
+    centroid = known.clusters[0].centroid
     x = centroid + np.array([0.3, 0.0])  # d(x, c) = 0.3 < 2
-    out = route_sample(known, ref, WKNNParams(k=3), dp, x, "inner")
-    assert out.route is Route.NEW
+    _, accepted = route_sample(known, ref, WKNNParams(k=3), dp, x, "inner")
+    assert not accepted
 
 
 def test_route_sample_flags():
     known, ref = two_cluster_state()
     dp = DecisionParams(tau=0.0, update_centroids=False, grow_reference=False,
                         grow_members=True)
-    cluster = known.cluster_by_id(0)
+    cluster = known.clusters[0]
     centroid_before = cluster.centroid.copy()
-    out = route_sample(known, ref, WKNNParams(k=3), dp, np.array([1.2, 0.1]), "s1")
-    assert out.route is Route.KNOWN
+    _, accepted = route_sample(known, ref, WKNNParams(k=3), dp, np.array([1.2, 0.1]), "s1")
+    assert accepted
     assert len(cluster) == 5
     np.testing.assert_array_equal(cluster.centroid, centroid_before)
     assert len(ref) == 8
 
     frozen = DecisionParams(tau=0.0, update_centroids=False, grow_reference=False,
                             grow_members=False)
-    out = route_sample(known, ref, WKNNParams(k=3), frozen, np.array([0.8, -0.1]), "s2")
-    assert out.route is Route.KNOWN
+    _, accepted = route_sample(known, ref, WKNNParams(k=3), frozen, np.array([0.8, -0.1]), "s2")
+    assert accepted
     assert len(cluster) == 5  # member list untouched in frozen mode
 
 

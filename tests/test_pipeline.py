@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from famstream.data import Route
 from famstream import pipeline
 from famstream.cli import main
 from famstream.data import Dataset, save_dataset
+from famstream.online import StreamingClusterer
 from famstream.pipeline import (
     PipelineConfig,
     build_known_model,
@@ -57,15 +57,15 @@ def test_routing_decomposition(small_data):
     cfg = small_config()
     proj = fit_projection(corpus, stream, cfg.n_features)
     routing = run_routing(proj, cfg, seed=1)
-    routes = {a.sample_id: a.route for a in routing.assignments}
-    assert len(routes) == len(stream)
-    n_new = sum(1 for r in routes.values() if r is Route.NEW)
-    assert n_new == len(routing.new_ids)
+    assert routing.proposed.shape == routing.accepted.shape == (len(stream),)
+    n_new = int((~routing.accepted).sum())
+    assert n_new == len(routing.new) == len(routing.new_ids)
+    assert routing.new_ids == [stream.ids[i] for i in routing.new]
     assert routing.new_points.shape == (n_new, cfg.n_features)
     # every accepted sample joined exactly one known cluster
     member_ids = [sid for c in routing.known.clusters for sid in c.labels]
     assert len(member_ids) == len(set(member_ids))
-    accepted = [sid for sid, r in routes.items() if r is Route.KNOWN]
+    accepted = [sid for sid, ok in zip(stream.ids, routing.accepted) if ok]
     assert set(accepted) <= set(member_ids)
     assert len(member_ids) == len(corpus) + len(accepted)
 
@@ -136,7 +136,7 @@ def test_run_pipeline_report_structure(small_data):
         )
         assert r.timings["total"] >= stage_sum  # stages are strictly sequential
     assert report.aggregates["new_route_fraction"] is not None
-    assert report.first_assignments and report.first_models["scaler"]
+    assert report.first_assignments[0] and report.first_models["scaler"]
 
 
 def test_run_pipeline_deterministic(small_data):
@@ -145,7 +145,10 @@ def test_run_pipeline_deterministic(small_data):
     a = run_pipeline(cfg, data=(corpus, stream))
     b = run_pipeline(cfg, data=(corpus, stream))
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
-    assert a.first_assignments == b.first_assignments
+    (ids_a, *columns_a), (ids_b, *columns_b) = a.first_assignments, b.first_assignments
+    assert ids_a == ids_b
+    for column_a, column_b in zip(columns_a, columns_b, strict=True):
+        np.testing.assert_array_equal(column_a, column_b)
 
 
 def test_run_pipeline_empty_stream(small_data):
@@ -225,20 +228,34 @@ def test_baseline_single_cluster_purity_is_dominant_share(small_data):
     assert cell.n_new == len(families)  # routing bypassed: every sample is clustered
 
 
-def test_emission_assignments_use_online_ids(small_data):
+@pytest.mark.parametrize("algorithm", ["okm", "som", "bsas"])
+def test_emission_assignments_use_online_ids(small_data, algorithm):
     corpus, stream = small_data
-    cfg = small_config(repeats=1, online_algorithm="bsas", bsas_theta=4.0)
+    theta = 4.0 if algorithm == "bsas" else None
+    cfg = small_config(repeats=1, online_algorithm=algorithm, bsas_theta=theta)
     report = run_pipeline(cfg, data=(corpus, stream))
-    routes = {a.sample_id: a for a in report.first_assignments}
-    assert set(routes) == {s.id for s in stream.samples}
+    ids, accepted, cluster_ids = report.first_assignments
+    assert ids == [s.id for s in stream.samples]
     known_ids = {c["id"] for c in report.first_models["known_clusters"]["clusters"]}
     online_state = report.first_models["online_state"]
-    n_online = len(online_state["centroids"]) if online_state else 0
-    for a in report.first_assignments:
-        if a.route is Route.KNOWN:
-            assert a.cluster_id in known_ids
+    n_online = len(online_state["weights" if algorithm == "som" else "centroids"])
+    for ok, cluster_id in zip(accepted, cluster_ids, strict=True):
+        if ok:
+            assert cluster_id in known_ids
         else:
-            assert 0 <= a.cluster_id < n_online
+            assert 0 <= cluster_id < n_online
+    # the new rows, in stream order, carry a separate replay's emission ids
+    base = repeat_seed(cfg.seed, 0)
+    routing = run_routing(fit_projection(corpus, stream, cfg.n_features), cfg, seed=base)
+    replay = StreamingClusterer(algorithm, cfg.online_clusters, dim=cfg.n_features, seed=base + 1,
+                                expected_stream_length=len(routing.new_points), bsas_theta=theta)
+    for row in routing.new_points:
+        replay.push(row)
+    replay.finalize()
+    np.testing.assert_array_equal(accepted, routing.accepted)
+    assert cluster_ids[accepted].tolist() == routing.proposed[accepted].tolist()
+    assert len(replay.emitted) == len(routing.new_points) > 0
+    assert cluster_ids[~accepted].tolist() == replay.emitted
 
 
 def test_report_writers_golden_headers(tmp_path, small_data):

@@ -8,6 +8,7 @@ formulas they replaced, written out here as oracles, bit for bit.
 import copy
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from scipy.spatial.distance import cdist, pdist
 
 from famstream import decision, wknn
 from famstream.batch import Cluster
-from famstream.data import Route
 from famstream.decision import DecisionParams, accepts, route_sample
 from famstream.pipeline import PipelineConfig, build_known_model, fit_projection
 from famstream.points import (
@@ -367,6 +367,28 @@ def test_accepts_equals_full_matrix_near_zero_margins(case):
     assert accepts(members, centroid, x, tau) == full_matrix_accepts(members, centroid, x, tau)
 
 
+def test_accepts_overflowing_distance_to_centroid_warns_nothing():
+    """A d(x, c) beyond float64's range is inf; the rule still decides as the
+    full-matrix formula does, and raises no overflow warning on the way."""
+    rng = np.random.default_rng(0)
+    cases = [
+        (rng.normal(size=(50, 6)) * 1e200, np.zeros(6)),      # huge members and centroid
+        (rng.normal(size=(50, 6)) * 1e150, np.full(6, 1e160)),  # only x is far out
+    ]
+    decisions = []
+    for members, x in cases:
+        centroid = members.mean(axis=0)
+        for tau in (0.0, -1e300, 1e300):
+            with np.errstate(over="ignore"):
+                want = full_matrix_accepts(members, centroid, x, tau)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = accepts(members, centroid, x, tau)
+            assert got == want
+            decisions.append(got)
+    assert True in decisions and False in decisions
+
+
 def test_accepts_decides_from_the_bound_and_rechecks_near_zero(spy_exact, monkeypatch):
     members = np.array([[0.0], [2.0]])
     centroid = np.array([1.0])
@@ -464,9 +486,9 @@ def old_replay(known, ref, params, dp, ids, stream_z):
             if dp.grow_reference:
                 ref_points = np.vstack([ref_points, x])
                 ref_labels.append(label)
-            routes.append((Route.KNOWN, label))
+            routes.append((label, True))
         else:
-            routes.append((Route.NEW, label))
+            routes.append((label, False))
     return routes, members, member_ids, centroids, ref_points, ref_labels
 
 
@@ -492,13 +514,11 @@ def test_routing_replay_matches_full_scan(small_data, grow_reference, grow_membe
                             update_centroids=update_centroids)
         want = old_replay(known, ref, config.wknn, dp, ids, z_stream)
 
-        routes = []
-        for sid, x in zip(ids, z_stream):
-            out = route_sample(known, ref, config.wknn, dp, x, sid)
-            routes.append((out.route, out.cluster_id))
+        routes = [route_sample(known, ref, config.wknn, dp, x, sid)
+                  for sid, x in zip(ids, z_stream)]
         want_routes, members, member_ids, centroids, ref_points, ref_labels = want
         assert routes == want_routes
-        accepted = sum(r is Route.KNOWN for r, _ in routes)
+        accepted = sum(ok for _, ok in routes)
         assert share == ("none" if accepted == 0 else "all" if accepted == n else "some")
         for c in known.clusters:
             np.testing.assert_array_equal(c.points, members[c.id])

@@ -39,6 +39,22 @@ def test_classify_nearest_coincident_point():
     assert rows.tolist() == [0] and dists.tolist() == [0.0]
 
 
+def test_reference_set_takes_array_labels_as_a_list():
+    points = np.array([[0.0, 0.0], [5.0, 5.0], [1.0, 0.0]])
+    from_array = ReferenceSet(points, np.array([3, 7, 7]))
+    from_list = ReferenceSet(points, [3, 7, 7])
+    np.testing.assert_array_equal(from_array.points, from_list.points)
+    assert from_array.labels == from_list.labels == [3, 7, 7]
+    assert all(type(label) is int for label in from_array.labels)
+    params = WKNNParams(k=2)
+    for x in ([0.0, 0.0], [4.0, 4.0], [0.6, 0.0]):
+        got, (rows, dists) = classify(from_array, params, np.array(x))
+        want, (want_rows, want_dists) = classify(from_list, params, np.array(x))
+        assert got == want
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(dists, want_dists)
+
+
 def test_classify_hand_weights():
     # neighbor distances (1, 2, 3) with labels (A, B, B):
     # weights (1, 0.5, 0) -> A wins 1.0 to 0.5

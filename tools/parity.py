@@ -3,7 +3,9 @@
 Regenerates the full and small synthetic fixtures (seed 11, the sizes of
 tests/conftest.py's benchmark_data and small_data, as one file each split at
 2018-11), runs run, grid, baseline, sweep-tau and select-features on both in
-subprocesses against the chosen source tree (run twice: at the defaults, and
+subprocesses against the chosen source tree (run four times: at the defaults
+(OKM), once each with SOM and BSAS as the online clusterer, so that every
+algorithm's emission ids reach assignments.csv and online_state.json, and
 with every growth switch off and a uniform five-neighbour vote at tau 0, so
 that the reference set and the member lists hold different rows;
 select-features twice: with its default clusterers, and with DBSCAN alone at
@@ -54,6 +56,8 @@ save_dataset(small, "small.jsonl")
 
 COMMANDS = (
     ("run", ["run", "--repeats", "3"]),
+    ("run-som", ["run", "--repeats", "1", "--online-algorithm", "som"]),
+    ("run-bsas", ["run", "--repeats", "1", "--online-algorithm", "bsas"]),
     ("run-ablate", ["run", "--repeats", "1", "--freeze-members", "--no-grow-reference",
                     "--freeze-centroids", "--wknn-weighting", "uniform", "--wknn-k", "5",
                     "--tau", "0"]),
